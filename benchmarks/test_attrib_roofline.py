@@ -2,9 +2,9 @@
 
 ``attrib.span_coverage[model=...]`` is the attribution engine's
 self-check: the fraction of the instrumented forward's wall time
-explained by per-layer spans (worker-shard spans included).  It is a
+explained by per-layer spans (shard spans included).  It is a
 property of the *instrumentation*, not of host speed — if coverage
-drops, a subsystem stopped reporting (e.g. shard merge-back broke) —
+drops, a subsystem stopped reporting (e.g. a shard span went missing) —
 so it gates as a required higher-is-better metric at >= 0.9.
 
 ``roofline.attained_fraction[model=...]`` (wall-weighted attained /

@@ -13,14 +13,15 @@ implementations on the dashboard trend: ``fused_module_samples_per_sec``
 ``fused_reference_samples_per_sec`` (the golden ``impl="reference"``
 composition the vectorized kernels are validated against).
 
-The parallel axis measures the worker-pool engine
+The parallel axis measures thread-sharded execution
 (:mod:`repro.core.parallel`) at ``workers = {1, 2, nproc}``:
 ``kernel.parallel_samples_per_sec[workers=N]`` is the sharded
 throughput, and ``kernel.parallel_scaling_efficiency[workers=N]`` is
 that rate divided by ``N x`` the serial lowered-kernel rate — 1.0 is
 perfect linear scaling.  Both gate advisorily (the ``kernel.`` policy):
-the curve depends entirely on the host's core count, and on a 1-core
-CI runner the efficiency at ``workers=2`` legitimately sits near 0.5.
+the curve depends on the host's core count and on how many threads
+BLAS runs per GEMM, and on a 1-core CI runner the efficiency at
+``workers=2`` legitimately sits near 0.5.
 """
 
 from time import perf_counter
@@ -158,7 +159,7 @@ def parallel_workload():
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 def test_bench_parallel_fused_kernel(benchmark, parallel_workload, record_metric, workers):
-    """The worker-pool engine's scaling curve over the fused kernel."""
+    """The thread-sharded scaling curve over the fused kernel."""
     if workers > available_workers():
         # Oversubscribing a smaller host produces a point that is pure
         # scheduler noise and pollutes the committed scaling curve —

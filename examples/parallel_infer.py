@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Multi-core inference with the worker-pool execution engine.
+"""Multi-core inference with thread-sharded fused kernels.
 
 Demonstrates `repro.core.parallel` end to end:
 
@@ -10,13 +10,8 @@ Demonstrates `repro.core.parallel` end to end:
    `parallelize` stage that wraps every bound kernel in a
    `ParallelKernel`, and the per-layer sharding decision lands in the
    compile context;
-3. full-plan data parallelism — `ParallelPlanExecutor` ships the
-   compiled model to the workers once and shards the batch axis;
-4. a small worker-scaling sweep with per-shard tracer spans.
-
-The `if __name__ == "__main__"` guard is load-bearing: worker
-processes are started via forkserver/spawn, which re-imports this
-module — module level must stay side-effect free.
+3. a small worker-scaling sweep of the compiled model with per-shard
+   tracer spans.
 
 Run:  python examples/parallel_infer.py [--workers N]
 """
@@ -30,11 +25,9 @@ from repro import build_model
 from repro.compiler import CompileContext, mlcnn_pipeline
 from repro.core.fixedpoint import quantize_tensor
 from repro.core.parallel import (
-    ParallelPlanExecutor,
     available_workers,
     parallel_fused_conv_pool,
     parallel_fused_conv_pool_int,
-    shutdown_pools,
 )
 from repro.nn.tensor import Tensor, no_grad
 from repro.obs import get_tracer
@@ -58,6 +51,7 @@ def main() -> None:
 
     serial = parallel_fused_conv_pool(x, w, b, pool=2, padding=1, workers=1)
     sharded = parallel_fused_conv_pool(x, w, b, pool=2, padding=1, workers=workers)
+    assert np.allclose(sharded, serial, atol=1e-9)
     print(
         "float kernel: sharded vs serial max|dev| = "
         f"{np.abs(sharded - serial).max():.3e}  (round-off only; "
@@ -72,9 +66,10 @@ def main() -> None:
     print("int kernel:   sharded vs serial -> bit-identical (int64 adds are associative)\n")
 
     # 2. Compiler route: parallelize as a pipeline stage. ------------------
-    model = build_model("lenet5", seed=0)
     ctx = CompileContext(seed=0)
-    model, report = mlcnn_pipeline(parallel_workers=workers).run(model, ctx)
+    model, report = mlcnn_pipeline(parallel_workers=workers).run(
+        build_model("lenet5", seed=0), ctx
+    )
     plan = ctx.state.get("parallel_plan", {})
     print(f"pipeline: {' | '.join(r.name for r in report.records if r.ran)}")
     for path, entry in plan.items():
@@ -83,31 +78,33 @@ def main() -> None:
             f"axis={entry['axis']} shards={entry['shards']}"
         )
 
-    # 3. Full-plan data parallelism + a tiny scaling sweep. ----------------
-    batch = rng.normal(size=(32, 3, 32, 32))
+    # 3. A tiny scaling sweep of the compiled model. ------------------------
+    batch = Tensor(rng.normal(size=(32, 3, 32, 32)))
     with no_grad():
-        ref = model(Tensor(batch)).data
+        ref = model(batch).data
 
     tracer = get_tracer()
     tracer.enable()
     try:
         for n in sorted({1, 2, workers}):
-            executor = ParallelPlanExecutor(model, workers=n)
-            executor.run(batch)  # warm the pool + arenas
-            start = perf_counter()
-            out = executor.run(batch)
+            compiled, _ = mlcnn_pipeline(parallel_workers=n).run(
+                build_model("lenet5", seed=0)
+            )
+            with no_grad():
+                compiled(batch)  # warm the kernel workspaces
+                tracer.clear()
+                start = perf_counter()
+                out = compiled(batch).data
             elapsed = perf_counter() - start
             assert np.allclose(out, ref, atol=1e-9)
-            rate = batch.shape[0] / elapsed
             shard_events = [e for e in tracer.events if e.name.startswith("parallel.shard.")]
             print(
-                f"full plan, workers={n}: {rate:8.1f} samples/s "
+                f"compiled lenet5, workers={n}: {batch.shape[0] / elapsed:8.1f} samples/s "
                 f"({len(shard_events)} shard span(s) this run)"
             )
-            tracer.clear()
     finally:
         tracer.disable()
-        shutdown_pools()
+        tracer.clear()
 
 
 if __name__ == "__main__":

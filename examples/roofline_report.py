@@ -30,7 +30,10 @@ def main() -> None:
     )
     parser.add_argument("--bits", type=int, default=0, help="quantization bits (0 = off)")
     parser.add_argument("--batch", type=int, default=8, help="forward-pass batch size")
-    parser.add_argument("--workers", type=int, default=1, help="parallel plan workers")
+    parser.add_argument(
+        "--workers", type=int, default=1,
+        help="shard every fused layer across N threads (mlcnn_pipeline(parallel_workers=N))",
+    )
     parser.add_argument(
         "--no-sim", action="store_true", help="skip the accelerator-simulator rows"
     )

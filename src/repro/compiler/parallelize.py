@@ -1,11 +1,11 @@
-"""The parallelize stage: shard lowered kernels across worker processes.
+"""The parallelize stage: shard lowered kernels across threads.
 
 :class:`ParallelizePass` runs after ``lower``.  For every fused module
 with a bound kernel it decides a sharding (via
 :func:`repro.core.parallel.plan_shards` on the context's probe batch
 geometry) and rebinds the kernel wrapped in a
 :class:`~repro.core.parallel.ParallelKernel` — gradient-free forwards
-then fan out across the persistent worker pool, while training
+then fan out across the thread pool, while training
 forwards keep the serial autograd path untouched.
 
 The sharding decision per layer (axis, shard count, worker count) is

@@ -302,9 +302,8 @@ def mlcnn_pipeline(
     ``lower=False`` omits the lowering stage entirely.
     ``overlap=True`` lets ``fuse`` take overlapping-pool
     (stride != pool) blocks too; ``parallel_workers > 1`` appends the
-    ``parallelize`` stage, wrapping every bound kernel for sharded
-    execution on the persistent worker pool
-    (:mod:`repro.core.parallel`).
+    ``parallelize`` stage, wrapping every bound kernel for
+    thread-sharded execution (:mod:`repro.core.parallel`).
     """
     from repro.compiler.lower import LowerFusedKernelPass
     from repro.compiler.parallelize import ParallelizePass

@@ -69,12 +69,10 @@ from repro.core import kernels
 from repro.core.kernels import KERNEL_REGISTRY, KernelRegistry, KernelSpec, ShapeClass
 from repro.core.parallel import (
     ParallelKernel,
-    ParallelPlanExecutor,
     available_workers,
     parallel_fused_conv_pool,
     parallel_fused_conv_pool_int,
     plan_shards,
-    shutdown_pools,
 )
 
 __all__ = [
@@ -103,12 +101,10 @@ __all__ = [
     "KernelRegistry",
     "KERNEL_REGISTRY",
     "ParallelKernel",
-    "ParallelPlanExecutor",
     "available_workers",
     "parallel_fused_conv_pool",
     "parallel_fused_conv_pool_int",
     "plan_shards",
-    "shutdown_pools",
     "fuse_network",
     "fused_blocks",
     "prepare_mlcnn",

@@ -57,7 +57,6 @@ def fused_conv_pool(
     padding: int = 0,
     activation: str = "relu",
     impl: str = "vectorized",
-    workers: Optional[int] = None,
 ) -> Tensor:
     """Execute ``ReLU(AvgPool_p(Conv_K(x)))`` as one fused kernel.
 
@@ -77,12 +76,6 @@ def fused_conv_pool(
     the convolution over the box-summed input runs at the pool stride
     instead (:mod:`repro.core.kernels.strided`).  The conv stride must
     be 1 (enforced by callers via ``ConvBlock.is_fusable``).
-
-    ``workers`` > 1 shards the *inference* execution across the
-    persistent worker pool (:mod:`repro.core.parallel`) — an
-    inference-only optimization: any grad-tracking input silently takes
-    the serial autograd path, since the sharded execution returns a
-    leaf tensor with no backward.
     """
     pool_stride = pool if pool_stride is None else pool_stride
     if pool_stride < 1:
@@ -91,35 +84,6 @@ def fused_conv_pool(
         raise ValueError(f"impl must be 'vectorized' or 'reference', got {impl!r}")
     x = x if isinstance(x, Tensor) else Tensor(x)
     weight = weight if isinstance(weight, Tensor) else Tensor(weight)
-
-    if (
-        workers is not None
-        and workers > 1
-        and impl == "vectorized"
-        and not (
-            is_grad_enabled()
-            and (x.requires_grad or weight.requires_grad
-                 or (isinstance(bias, Tensor) and bias.requires_grad))
-        )
-    ):
-        from repro.core.parallel import parallel_fused_conv_pool
-
-        if activation not in ("relu", "sigmoid", "tanh", "none"):
-            raise ValueError(f"unknown activation {activation!r}")
-        bias_d = None
-        if bias is not None:
-            bias_d = bias.data if isinstance(bias, Tensor) else np.asarray(bias)
-        out = parallel_fused_conv_pool(
-            x.data,
-            weight.data,
-            bias_d,
-            pool=pool,
-            pool_stride=pool_stride,
-            padding=padding,
-            activation=activation,
-            workers=workers,
-        )
-        return Tensor(out)
 
     if impl == "vectorized":
         if activation not in ("relu", "sigmoid", "tanh", "none"):

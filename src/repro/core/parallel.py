@@ -1,78 +1,51 @@
-"""Multi-core parallel execution engine for fused kernels and plans.
+"""Thread-sharded execution of the fused kernels.
 
 The lowered fused kernels (:mod:`repro.core.kernels`) are single-core
-NumPy programs; this module shards their work across a persistent pool
-of worker processes — the software analogue of the paper's multi-PE
-scale-out, where independent output tiles map onto independent compute
-units.
+NumPy programs; this module shards one call across threads — the
+software analogue of the paper's multi-PE scale-out, where independent
+output tiles map onto independent compute units.
 
-Design
-------
+NumPy's GEMM releases the GIL, so each shard runs the serial lowered
+kernel on its slice of the input (:func:`plan_shards`: batch axis, or
+output channels for small batches) and writes its disjoint slice of one
+preallocated output.  The calling thread runs the first shard and one
+lazily created ``ThreadPoolExecutor`` per worker count runs the rest;
+nothing is serialized, and no ``__main__`` guard or teardown is needed.
+Lowered kernels keep per-shape workspaces (``F32NHWCKernel._plans``),
+so each thread runs its own kernel instance (:func:`_thread_kernel`).
 
-* **Persistent pool** — workers are expensive to start (``forkserver``
-  or ``spawn``; plain ``fork`` is unsafe under threads), so one
-  :class:`concurrent.futures.ProcessPoolExecutor` per worker count is
-  created lazily and reused for the life of the process.  Workers run
-  :func:`_init_worker` exactly once, importing the kernel stack ahead
-  of the first task.
-* **Shared-memory arenas** — inputs, weights and outputs travel
-  through :mod:`multiprocessing.shared_memory` segments
-  (:class:`SharedArena`), not through the task pickle stream.  The
-  process-wide :class:`ArenaPool` recycles segments by capacity, so
-  repeated same-shape calls reuse the same names and the worker-side
-  attachment cache (:data:`_WORKER_ARENAS`) hits.
-* **Sharding** — :func:`plan_shards` splits the batch axis when there
-  are at least as many images as workers, and falls back to the output
-  -channel axis for small batches (both axes are embarrassingly
-  parallel in the fused operator: every pooled output depends on one
-  image and one filter).
-* **Observability** — each worker executes its shard under
-  :func:`repro.obs.metrics.collect_counters` and ships the measured
-  :class:`~repro.obs.metrics.OpCounters` back as a dict; the parent
-  merges them into its own active collection
-  (:meth:`CounterRecorder.record`) and re-emits one
-  ``parallel.shard`` tracer event per shard with the worker's wall
-  time, so a profile of a parallel run decomposes like a serial one.
+Shard threads record op counters straight into the process-wide
+:class:`~repro.obs.metrics.CounterRecorder` (it takes a lock), so an
+enclosing collection sees exactly the serial totals; the calling thread
+records one ``parallel.shard.<label>`` span per shard, with that shard's
+own counters, under the enclosing ``parallel.*`` span.
 
-Determinism: shards are pure functions of disjoint input slices and
-are written to disjoint output slices, so a parallel run is fully
-deterministic and independent of scheduling order.  Float outputs
-match the serial kernel within round-off (<= a few ULP: BLAS chooses
-its blocking by problem size, so a per-shard GEMM may associate sums
-differently than the full-batch GEMM); integer/fixed-point executions
-are exact, hence bit-identical.
-
-Serial fallback: ``workers <= 1``, a grad-enabled context, or a pool
-that cannot be created (sandboxed environments) all run the plain
-in-process kernel — the parallel path is an inference-only
-optimization, never a semantic fork.
+Float outputs match the serial kernel within round-off (BLAS blocks a
+per-shard GEMM differently than the full-batch one); integer outputs
+are bit-identical.  ``workers <= 1`` or a single shard runs the plain
+kernel on the calling thread, and grad-enabled forwards never get here
+(:class:`~repro.core.fusion.FusedConvPool` uses its bound kernel only
+without grad), so training keeps the serial autograd path.
 """
 
 from __future__ import annotations
 
-import atexit
 import os
-import pickle
-from concurrent.futures import ProcessPoolExecutor
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from multiprocessing import get_context
-from multiprocessing import shared_memory as _shm
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
-    "SharedArena",
-    "ArenaPool",
     "Shard",
     "plan_shards",
     "available_workers",
-    "get_executor",
-    "shutdown_pools",
     "parallel_fused_conv_pool",
     "parallel_fused_conv_pool_int",
     "ParallelKernel",
-    "ParallelPlanExecutor",
 ]
 
 
@@ -84,100 +57,10 @@ def available_workers() -> int:
         return max(1, os.cpu_count() or 1)
 
 
-# ---------------------------------------------------------------------------
-# Shared-memory arenas
-# ---------------------------------------------------------------------------
-
-class SharedArena:
-    """One shared-memory segment with a typed ndarray view.
-
-    The creating process owns the segment (``unlink`` on close);
-    workers attach by name and never unlink.  Views may describe fewer
-    bytes than the segment holds, letting :class:`ArenaPool` recycle a
-    large segment for a smaller array.
-    """
-
-    def __init__(self, nbytes: int) -> None:
-        self.shm = _shm.SharedMemory(create=True, size=max(1, int(nbytes)))
-        self.capacity = self.shm.size
-
-    @property
-    def name(self) -> str:
-        return self.shm.name
-
-    def view(self, shape: Tuple[int, ...], dtype: Any) -> np.ndarray:
-        """An ndarray over the first ``prod(shape) * itemsize`` bytes."""
-        need = int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
-        if need > self.capacity:
-            raise ValueError(f"arena {self.name} holds {self.capacity} B, need {need}")
-        return np.ndarray(shape, dtype=dtype, buffer=self.shm.buf)
-
-    def put(self, array: np.ndarray) -> np.ndarray:
-        """Copy ``array`` into the arena; returns the shared view."""
-        view = self.view(array.shape, array.dtype)
-        np.copyto(view, array)
-        return view
-
-    def close(self) -> None:
-        try:
-            self.shm.close()
-            self.shm.unlink()
-        except FileNotFoundError:
-            pass
-
-
-class ArenaPool:
-    """Recycles :class:`SharedArena` segments by capacity.
-
-    ``acquire(nbytes)`` hands out the smallest free segment that fits
-    (or creates one); ``release`` returns it for reuse.  Reuse keeps
-    segment *names* stable across repeated same-shape calls, which is
-    what makes the worker-side attachment cache effective.
-    """
-
-    def __init__(self) -> None:
-        self._free: List[SharedArena] = []
-        self._all: List[SharedArena] = []
-
-    def acquire(self, nbytes: int) -> SharedArena:
-        best = None
-        for arena in self._free:
-            if arena.capacity >= nbytes and (
-                best is None or arena.capacity < best.capacity
-            ):
-                best = arena
-        if best is not None:
-            self._free.remove(best)
-            return best
-        arena = SharedArena(nbytes)
-        self._all.append(arena)
-        return arena
-
-    def release(self, arena: SharedArena) -> None:
-        self._free.append(arena)
-
-    def close(self) -> None:
-        for arena in self._all:
-            arena.close()
-        self._free.clear()
-        self._all.clear()
-
-
-#: process-wide arena pool used by the parallel entry points
-_ARENAS = ArenaPool()
-
-
-# ---------------------------------------------------------------------------
-# Sharding
-# ---------------------------------------------------------------------------
-
 @dataclass(frozen=True)
 class Shard:
-    """One worker's slice of the fused operator.
-
-    ``axis`` is ``"images"`` (slice of the batch) or ``"channels"``
-    (slice of the output filters); ``start``/``stop`` bound the slice.
-    """
+    """One shard: ``[start, stop)`` of the batch (``axis="images"``) or of
+    the output filters (``axis="channels"``)."""
 
     axis: str
     start: int
@@ -191,10 +74,8 @@ class Shard:
 def plan_shards(n_images: int, n_channels: int, workers: int) -> List[Shard]:
     """Split the fused operator across ``workers`` near-evenly.
 
-    Prefers the batch axis (coarsest independent unit, one attachment
-    per worker); when the batch is smaller than the worker count the
-    output-channel axis shards instead, so small-batch inference still
-    scales.  Degenerate worker counts collapse to one shard.
+    Prefers the batch axis; a batch smaller than the worker count shards
+    the output channels instead, so small-batch inference still scales.
     """
     if workers <= 1:
         return [Shard("images", 0, n_images)]
@@ -212,406 +93,82 @@ def plan_shards(n_images: int, n_channels: int, workers: int) -> List[Shard]:
     return shards
 
 
-# ---------------------------------------------------------------------------
-# Worker side
-# ---------------------------------------------------------------------------
+#: worker count -> persistent thread pool
+_POOLS: Dict[int, ThreadPoolExecutor] = {}
+_POOLS_LOCK = threading.Lock()
 
-#: name -> attached SharedMemory, cached for the life of the worker
-_WORKER_ARENAS: Dict[str, _shm.SharedMemory] = {}
-
-#: (spec name, shape class) -> instantiated kernel, per worker
-_WORKER_KERNELS: Dict[Tuple[str, Any], Any] = {}
-
-#: the unpickled compiled model, for full-plan execution pools
-_WORKER_MODEL: Any = None
+#: per-thread kernel instances, keyed by (spec name, shape class)
+_LOCAL = threading.local()
 
 
-def _attach(name: str) -> _shm.SharedMemory:
-    shm = _WORKER_ARENAS.get(name)
-    if shm is None:
-        # Attach only: the parent owns (and eventually unlinks) the
-        # segment.  The resource tracker is shared across the process
-        # tree, so the attach-side registration is a set no-op.
-        shm = _shm.SharedMemory(name=name)
-        _WORKER_ARENAS[name] = shm
-    return shm
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The pool for ``workers``: the calling thread is the last worker."""
+    with _POOLS_LOCK:
+        if workers not in _POOLS:
+            _POOLS[workers] = ThreadPoolExecutor(workers - 1, f"shard{workers}")
+        return _POOLS[workers]
 
 
-def _worker_view(name: str, shape: Tuple[int, ...], dtype_str: str) -> np.ndarray:
-    return np.ndarray(shape, dtype=np.dtype(dtype_str), buffer=_attach(name).buf)
-
-
-def _init_worker(model_blob: Optional[bytes] = None) -> None:
-    """Run once per worker: import the kernel stack, unpack the plan."""
-    global _WORKER_MODEL
-    import repro.core.kernels  # noqa: F401  (warm the import ahead of tasks)
-
-    if model_blob is not None:
-        _WORKER_MODEL = pickle.loads(model_blob)
-
-
-def _worker_kernel(spec_name: str, shape_class: Any) -> Any:
-    key = (spec_name, shape_class)
-    kern = _WORKER_KERNELS.get(key)
-    if kern is None:
+def _thread_kernel(spec_name: str, shape_class: Any) -> Any:
+    """This thread's own instance of a registered kernel."""
+    kernels = _LOCAL.__dict__.setdefault("kernels", {})
+    if (spec_name, shape_class) not in kernels:
         from repro.core.kernels import KERNEL_REGISTRY
 
-        kern = KERNEL_REGISTRY.get(spec_name).make(shape_class)
-        _WORKER_KERNELS[key] = kern
-    return kern
+        kernels[spec_name, shape_class] = KERNEL_REGISTRY.get(spec_name).make(shape_class)
+    return kernels[spec_name, shape_class]
 
 
-def _run_kernel_shard(task: Dict[str, Any]) -> Dict[str, Any]:
-    """Execute one shard of a fused kernel inside a worker.
-
-    Reads the input/weight slices from shared memory, runs the lowered
-    kernel under a counter collection, writes the output slice in
-    place, and returns only metadata (counters + wall time) — the
-    result itself travels through the output arena.
-    """
-    import time
-
-    from repro.obs.metrics import collect_counters
-
-    t0 = time.perf_counter()
-    x = _worker_view(task["x_name"], task["x_shape"], task["dtype"])
-    w = _worker_view(task["w_name"], task["w_shape"], task["dtype"])
-    b = (
-        _worker_view(task["b_name"], task["b_shape"], task["dtype"])
-        if task["b_name"] is not None
-        else None
-    )
-    out = _worker_view(task["out_name"], task["out_shape"], task["dtype"])
-    shard: Shard = task["shard"]
-    kern = _worker_kernel(task["spec_name"], task["shape_class"])
-    if shard.axis == "images":
-        xs, ws, bs = x[shard.start : shard.stop], w, b
-        dest = out[shard.start : shard.stop]
-    else:
-        xs, ws = x, w[shard.start : shard.stop]
-        bs = None if b is None else b[shard.start : shard.stop]
-        dest = out[:, shard.start : shard.stop]
-    with collect_counters() as oc:
-        result = kern.run_nchw(
-            xs, ws, bs, padding=task["padding"], activation=task["activation"]
-        )
-    np.copyto(dest, result)
-    return {
-        "shard": shard,
-        "counters": oc.as_dict(include_derived=False),
-        "wall_time_s": time.perf_counter() - t0,
-        "pid": os.getpid(),
-    }
-
-
-def _run_int_shard(task: Dict[str, Any]) -> Dict[str, Any]:
-    """Execute one batch slice of the fixed-point fused kernel.
-
-    The int64 path is per-image, so the shard simply maps its slice of
-    images through :func:`repro.core.fixedpoint.fused_conv_pool_int` —
-    integer accumulation is associative, making the sharded execution
-    *bit-identical* to a serial sweep over the same images.
-    """
-    import time
-
-    from repro.core.fixedpoint import QuantizedTensor, fused_conv_pool_int
-    from repro.obs.metrics import collect_counters
-
-    t0 = time.perf_counter()
-    x = _worker_view(task["x_name"], task["x_shape"], task["dtype"])
-    w = _worker_view(task["w_name"], task["w_shape"], task["dtype"])
-    b = (
-        _worker_view(task["b_name"], task["b_shape"], "<f8")
-        if task["b_name"] is not None
-        else None
-    )
-    out = _worker_view(task["out_name"], task["out_shape"], "<f8")
-    shard: Shard = task["shard"]
-    wq = QuantizedTensor(np.array(w), task["w_scale"], task["w_bits"])
-    with collect_counters() as oc:
-        for i in range(shard.start, shard.stop):
-            xq = QuantizedTensor(np.array(x[i]), task["x_scale"], task["x_bits"])
-            out[i] = fused_conv_pool_int(
-                xq,
-                wq,
-                b,
-                pool=task["pool"],
-                apply_relu=task["apply_relu"],
-                acc_bits=task["acc_bits"],
-                out_bits=task["out_bits"],
-                out_amax=task["out_amax"],
-            )
-    return {
-        "shard": shard,
-        "counters": oc.as_dict(include_derived=False),
-        "wall_time_s": time.perf_counter() - t0,
-        "pid": os.getpid(),
-    }
-
-
-def _run_plan_shard(task: Dict[str, Any]) -> Dict[str, Any]:
-    """Execute one batch slice through the worker's compiled model."""
-    import time
-
-    from repro.nn.tensor import Tensor, no_grad
-    from repro.obs.metrics import collect_counters
-
-    if _WORKER_MODEL is None:
-        raise RuntimeError("worker pool was not initialized with a compiled plan")
-    t0 = time.perf_counter()
-    x = _worker_view(task["x_name"], task["x_shape"], task["dtype"])
-    shard: Shard = task["shard"]
-    with collect_counters() as oc, no_grad():
-        out = _WORKER_MODEL(Tensor(np.array(x[shard.start : shard.stop]))).data
-    return {
-        "shard": shard,
-        "out": out,
-        "counters": oc.as_dict(include_derived=False),
-        "wall_time_s": time.perf_counter() - t0,
-        "pid": os.getpid(),
-    }
-
-
-# ---------------------------------------------------------------------------
-# Pool management (parent side)
-# ---------------------------------------------------------------------------
-
-#: (workers, plan digest or None) -> persistent executor
-_POOLS: Dict[Tuple[int, Optional[str]], ProcessPoolExecutor] = {}
-
-#: start methods tried in order; fork is excluded (unsafe under threads)
-_START_METHODS = ("forkserver", "spawn")
-
-
-def _make_pool(workers: int, model_blob: Optional[bytes]) -> ProcessPoolExecutor:
-    last_err: Optional[BaseException] = None
-    for method in _START_METHODS:
-        try:
-            pool = ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=get_context(method),
-                initializer=_init_worker,
-                initargs=(model_blob,),
-            )
-            # Surface start-method failures now, not at first submit.
-            pool.submit(os.getpid).result(timeout=120)
-            return pool
-        except Exception as exc:  # noqa: BLE001 - any failure → next method
-            last_err = exc
-    raise RuntimeError(f"could not start a worker pool: {last_err!r}")
-
-
-def get_executor(
+def _run_sharded(
+    name: str,
+    label: str,
+    shards: Sequence[Shard],
     workers: int,
-    model_blob: Optional[bytes] = None,
-    plan_digest: Optional[str] = None,
-) -> ProcessPoolExecutor:
-    """The persistent pool for ``workers`` (created on first use).
-
-    ``model_blob``/``plan_digest`` select a full-plan pool whose
-    workers unpickled the compiled model once at startup; kernel-level
-    pools (no plan) are shared across all fused layers.
+    run_shard: Callable[[Shard], None],
+) -> None:
+    """Run ``run_shard`` on every shard under one span: the first on the
+    calling thread, which would otherwise sit waiting, the rest on the
+    pool.  Waits for every shard, then re-raises the first failing
+    shard's exception; a failed call leaves the pool usable.
     """
-    key = (int(workers), plan_digest)
-    pool = _POOLS.get(key)
-    if pool is None:
-        pool = _make_pool(int(workers), model_blob)
-        _POOLS[key] = pool
-    return pool
-
-
-def shutdown_pools() -> None:
-    """Stop every persistent pool and free all shared arenas (tests)."""
-    for pool in _POOLS.values():
-        pool.shutdown(wait=True, cancel_futures=True)
-    _POOLS.clear()
-    _ARENAS.close()
-
-
-atexit.register(shutdown_pools)
-
-
-def _telemetry_submit(pool_label: str, shards: int, workers: int) -> None:
-    """Record queue depth + pool saturation at a shard-submit site.
-
-    One ``enabled`` check when telemetry is off — the same contract as
-    the tracer.  ``parallel.queue_depth`` is the number of shards just
-    enqueued (zeroed again when the results are absorbed), and
-    ``parallel.pool_saturation`` is shards per worker: sustained > 1
-    means the pool is the bottleneck; < 1 means workers sit idle.
-    """
-    from repro.obs.telemetry.registry import get_telemetry
-
-    telemetry = get_telemetry()
-    if not telemetry.enabled:
-        return
-    telemetry.gauge("parallel.queue_depth", "shards queued on the worker pool").set(
-        shards, pool=pool_label
-    )
-    telemetry.gauge(
-        "parallel.pool_saturation", "queued shards per pool worker"
-    ).set(shards / max(workers, 1), pool=pool_label)
-
-
-def _absorb_shard_results(results: Sequence[Dict[str, Any]], label: str) -> None:
-    """Merge worker counters + re-emit per-shard spans in the parent.
-
-    Each worker measured its shard's wall time and counters locally;
-    here they become first-class children of the enclosing
-    ``parallel.*`` span — real spans (via :meth:`Tracer.record_span`),
-    not just instant markers, so the attribution engine's coverage
-    metric sees sharded work exactly like in-process work, and the
-    worker's measured counters ride along as span attrs for the
-    roofline join.  With telemetry enabled, every shard also lands in
-    the ``parallel.shard_latency_ms`` histogram and the per-worker
-    ``parallel.worker_shards_total`` counter, and the pool's queue
-    depth drops back to zero.
-    """
-    from repro.obs.metrics import OpCounters, get_recorder
-    from repro.obs.telemetry.registry import get_telemetry
+    from repro.obs.metrics import collect_thread_counters
     from repro.obs.tracer import get_tracer
 
-    recorder = get_recorder()
+    def timed(shard: Shard):
+        t0 = time.perf_counter()
+        with collect_thread_counters() as oc:
+            run_shard(shard)
+        return t0, time.perf_counter(), oc
+
     tracer = get_tracer()
-    telemetry = get_telemetry()
-    shard_hist = worker_ctr = None
-    if telemetry.enabled:
-        shard_hist = telemetry.histogram(
-            "parallel.shard_latency_ms", "per-shard wall time in the worker"
-        )
-        worker_ctr = telemetry.counter(
-            "parallel.worker_shards_total", "shards completed per worker process"
-        )
-        telemetry.gauge("parallel.queue_depth", "shards queued on the worker pool").set(
-            0, pool=label
-        )
-    for res in results:
-        counts = res.get("counters") or {}
-        if recorder.enabled and counts:
-            recorder.record(**OpCounters.from_dict(counts).as_dict(include_derived=False))
-        shard: Shard = res["shard"]
-        attrs: Dict[str, Any] = {
-            "axis": shard.axis,
-            "start": shard.start,
-            "stop": shard.stop,
-            "wall_time_s": res["wall_time_s"],
-            "pid": res["pid"],
-        }
-        nonzero = {k: v for k, v in counts.items() if v}
-        if nonzero:
-            attrs["counters"] = nonzero
-        tracer.record_span(
-            f"parallel.shard.{label}",
-            dur_us=res["wall_time_s"] * 1e6,
-            category="parallel",
-            **attrs,
-        )
-        if shard_hist is not None:
-            shard_hist.observe(res["wall_time_s"] * 1e3, pool=label)
-            worker_ctr.inc(pool=label, pid=res["pid"])
-
-
-# ---------------------------------------------------------------------------
-# Parallel fused kernel (kernel-level entry point)
-# ---------------------------------------------------------------------------
-
-def _fused_out_shape(
-    x_shape: Tuple[int, ...],
-    w_shape: Tuple[int, ...],
-    pool: int,
-    stride: int,
-    padding: int,
-) -> Tuple[int, int, int, int]:
-    n, _, h, w = x_shape
-    m, _, k, _ = w_shape
-    ha, wa = h + 2 * padding - k + 1, w + 2 * padding - k + 1
-    po = (ha - pool) // stride + 1
-    qo = (wa - pool) // stride + 1
-    return n, m, po, qo
-
-
-def _execute_sharded(
-    spec_name: str,
-    sc: Any,
-    serial_kernel: Any,
-    x: np.ndarray,
-    weight: np.ndarray,
-    bias: Optional[np.ndarray],
-    padding: int,
-    activation: str,
-    workers: int,
-) -> np.ndarray:
-    """Shard one fused kernel call across the worker pool.
-
-    Each shard runs the same lowered kernel on a disjoint slice;
-    results match the serial kernel within float round-off (see the
-    module doc).  Falls back to ``serial_kernel`` when ``workers <= 1``
-    or only one shard would be produced.
-    """
-    from repro.obs.tracer import get_tracer
-
-    x = np.ascontiguousarray(x)
-    weight = np.ascontiguousarray(weight)
-    shards = plan_shards(x.shape[0], weight.shape[0], workers)
-    if workers <= 1 or len(shards) <= 1:
-        return serial_kernel.run_nchw(
-            x, weight, bias, padding=padding, activation=activation
-        )
-
-    out_shape = _fused_out_shape(x.shape, weight.shape, sc.pool, sc.stride, padding)
-    # The arena dtype matches the kernel's arithmetic width, so the
-    # assembled output dtype equals the serial kernel's output dtype.
-    dtype = np.dtype(np.float32 if getattr(sc, "bits", 64) == 32 else np.float64)
-    x = x.astype(dtype, copy=False)
-    weight = weight.astype(dtype, copy=False)
-    bias = None if bias is None else np.ascontiguousarray(bias).astype(dtype, copy=False)
-    xs = _ARENAS.acquire(x.nbytes)
-    ws = _ARENAS.acquire(weight.nbytes)
-    bs = _ARENAS.acquire(bias.nbytes) if bias is not None else None
-    os_ = _ARENAS.acquire(int(np.prod(out_shape, dtype=np.int64)) * dtype.itemsize)
-    try:
-        xs.put(x)
-        ws.put(weight)
-        if bias is not None:
-            bs.put(bias)
-        task_base = {
-            "x_name": xs.name,
-            "x_shape": tuple(x.shape),
-            "w_name": ws.name,
-            "w_shape": tuple(weight.shape),
-            "b_name": None if bias is None else bs.name,
-            "b_shape": None if bias is None else tuple(bias.shape),
-            "out_name": os_.name,
-            "out_shape": out_shape,
-            "dtype": dtype.str,
-            "padding": padding,
-            "activation": activation,
-            "spec_name": spec_name,
-            "shape_class": sc,
-        }
-        pool_exec = get_executor(workers)
-        _telemetry_submit("kernel", len(shards), workers)
-        with get_tracer().span(
-            "parallel.fused_conv_pool",
-            category="parallel",
-            workers=workers,
-            shards=len(shards),
-            axis=shards[0].axis,
-        ):
-            futures = [
-                pool_exec.submit(_run_kernel_shard, {**task_base, "shard": s})
-                for s in shards
-            ]
-            results = [f.result() for f in futures]
-            _absorb_shard_results(results, "kernel")
-            out = np.array(os_.view(out_shape, dtype))  # copy out of the arena
-    finally:
-        _ARENAS.release(xs)
-        _ARENAS.release(ws)
-        if bs is not None:
-            _ARENAS.release(bs)
-        _ARENAS.release(os_)
-    return out
+    with tracer.span(
+        name, category="parallel", workers=workers, shards=len(shards), axis=shards[0].axis
+    ):
+        pool = _pool(workers)
+        dispatched = time.perf_counter()
+        futures = [pool.submit(timed, s) for s in shards[1:]]
+        try:
+            first = timed(shards[0])
+        finally:
+            wait(futures)
+        results = [first] + [f.result() for f in futures]
+        collected = time.perf_counter()
+        # A shard span runs from dispatch until the calling thread has its
+        # result, so hand-off and wake-up latency count as the shard's time,
+        # not as a gap in the parent; ``wall_time_s`` is its execution time.
+        for i, (shard, (t0, t1, oc)) in enumerate(zip(shards, results)):
+            done = t1 if i == 0 else collected
+            counters = {k: v for k, v in oc.as_dict(include_derived=False).items() if v}
+            tracer.record_span(
+                f"parallel.shard.{label}",
+                dur_us=(done - dispatched) * 1e6,
+                category="parallel",
+                axis=shard.axis,
+                start=shard.start,
+                stop=shard.stop,
+                wall_time_s=t1 - t0,
+                **({"counters": counters} if counters else {}),
+            )
 
 
 def parallel_fused_conv_pool(
@@ -626,26 +183,20 @@ def parallel_fused_conv_pool(
     workers: int = 2,
     bits: int = 64,
 ) -> np.ndarray:
-    """Registry-selected fused conv-pool, sharded across the pool.
+    """Registry-selected fused conv-pool, sharded across threads.
 
-    The kernel-level entry point: selects the lowered kernel for the
-    call's shape class exactly as the compiler would, then executes it
-    via :func:`_execute_sharded` (serial fallback included).
+    Selects the lowered kernel for the call's shape class exactly as the
+    compiler would and runs it through :class:`ParallelKernel`.
     """
     from repro.core.kernels import KERNEL_REGISTRY, ShapeClass
 
+    x, weight = np.asarray(x), np.asarray(weight)
+    bias = None if bias is None else np.asarray(bias)
     stride = pool if pool_stride is None else pool_stride
-    sc = ShapeClass(
-        kernel=np.asarray(weight).shape[-1],
-        pool=pool,
-        stride=stride,
-        bits=bits,
-        kind="float",
-    )
+    sc = ShapeClass(kernel=weight.shape[-1], pool=pool, stride=stride, bits=bits, kind="float")
     spec = KERNEL_REGISTRY.select(sc)
-    return _execute_sharded(
-        spec.name, sc, spec.make(sc), x, weight, bias, padding, activation, workers
-    )
+    kernel = ParallelKernel(spec.make(sc), spec.name, workers)
+    return kernel.run_nchw(x, weight, bias, padding=padding, activation=activation)
 
 
 def parallel_fused_conv_pool_int(
@@ -664,109 +215,41 @@ def parallel_fused_conv_pool_int(
 
     ``x_q`` is a :class:`~repro.core.fixedpoint.QuantizedTensor` whose
     values are batched ``(N, C, H, W)``; ``w_q`` holds the quantized
-    ``(M, C, K, K)`` weights.  Integer accumulation is associative, so
-    the result is **bit-identical** to a serial per-image sweep of
-    :func:`~repro.core.fixedpoint.fused_conv_pool_int` — overflow or
-    clip accounting per image included.  Returns ``(N, M, PO, QO)``.
+    ``(M, C, K, K)`` weights.  Each image runs exactly as in a serial
+    sweep of :func:`~repro.core.fixedpoint.fused_conv_pool_int`, so the
+    ``(N, M, PO, QO)`` result is **bit-identical** to serial.
     """
-    from repro.core.fixedpoint import fused_conv_pool_int
-    from repro.obs.tracer import get_tracer
+    from repro.core.fixedpoint import QuantizedTensor, fused_conv_pool_int
 
-    xv = np.ascontiguousarray(x_q.values).astype(np.int64, copy=False)
-    wv = np.ascontiguousarray(w_q.values).astype(np.int64, copy=False)
+    xv = np.asarray(x_q.values)
     if xv.ndim != 4:
         raise ValueError(f"expected batched (N, C, H, W) values, got {xv.shape}")
-    n = xv.shape[0]
-    k, p = wv.shape[-1], pool
-    ha = xv.shape[-2] - k + 1
-    po = (ha - p) // p + 1
-    out_shape = (n, wv.shape[0], po, po)
-    shards = [s for s in plan_shards(n, 0, workers) if s.size]
+    images: List[Optional[np.ndarray]] = [None] * len(xv)
+    opts = dict(
+        pool=pool, apply_relu=apply_relu, acc_bits=acc_bits, out_bits=out_bits, out_amax=out_amax
+    )
 
-    def _serial() -> np.ndarray:
-        from repro.core.fixedpoint import QuantizedTensor
+    def run_images(shard: Shard) -> None:
+        for i in range(shard.start, shard.stop):
+            xi = QuantizedTensor(xv[i], x_q.scale, x_q.bits)
+            images[i] = fused_conv_pool_int(xi, w_q, bias, **opts)
 
-        return np.stack(
-            [
-                fused_conv_pool_int(
-                    QuantizedTensor(xv[i], x_q.scale, x_q.bits),
-                    w_q,
-                    bias,
-                    pool=pool,
-                    apply_relu=apply_relu,
-                    acc_bits=acc_bits,
-                    out_bits=out_bits,
-                    out_amax=out_amax,
-                )
-                for i in range(n)
-            ]
-        )
-
-    if workers <= 1 or len(shards) <= 1 or shards[0].axis != "images":
-        return _serial()
-
-    bias_d = None if bias is None else np.ascontiguousarray(bias, dtype=np.float64)
-    xs = _ARENAS.acquire(xv.nbytes)
-    ws = _ARENAS.acquire(wv.nbytes)
-    bs = _ARENAS.acquire(bias_d.nbytes) if bias_d is not None else None
-    os_ = _ARENAS.acquire(int(np.prod(out_shape, dtype=np.int64)) * 8)
-    try:
-        xs.put(xv)
-        ws.put(wv)
-        if bias_d is not None:
-            bs.put(bias_d)
-        task_base = {
-            "x_name": xs.name,
-            "x_shape": tuple(xv.shape),
-            "w_name": ws.name,
-            "w_shape": tuple(wv.shape),
-            "b_name": None if bias_d is None else bs.name,
-            "b_shape": None if bias_d is None else tuple(bias_d.shape),
-            "out_name": os_.name,
-            "out_shape": out_shape,
-            "dtype": np.dtype(np.int64).str,
-            "x_scale": x_q.scale,
-            "x_bits": x_q.bits,
-            "w_scale": w_q.scale,
-            "w_bits": w_q.bits,
-            "pool": pool,
-            "apply_relu": apply_relu,
-            "acc_bits": acc_bits,
-            "out_bits": out_bits,
-            "out_amax": out_amax,
-        }
-        pool_exec = get_executor(workers)
-        _telemetry_submit("int", len(shards), workers)
-        with get_tracer().span(
-            "parallel.fused_conv_pool_int",
-            category="parallel",
-            workers=workers,
-            shards=len(shards),
-        ):
-            futures = [
-                pool_exec.submit(_run_int_shard, {**task_base, "shard": s})
-                for s in shards
-            ]
-            results = [f.result() for f in futures]
-            _absorb_shard_results(results, "int")
-            out = np.array(os_.view(out_shape, np.float64))
-    finally:
-        _ARENAS.release(xs)
-        _ARENAS.release(ws)
-        if bs is not None:
-            _ARENAS.release(bs)
-        _ARENAS.release(os_)
-    return out
+    shards = plan_shards(len(xv), 0, workers)
+    if len(shards) <= 1:
+        run_images(Shard("images", 0, len(xv)))
+    else:
+        _run_sharded("parallel.fused_conv_pool_int", "int", shards, workers, run_images)
+    return np.stack(images)
 
 
 class ParallelKernel:
     """A lowered kernel wrapped for sharded execution.
 
     Attached by :class:`repro.compiler.parallelize.ParallelizePass` in
-    place of the serial kernel: ``run_nchw`` shards the call across
-    the persistent pool and assembles the result, falling back to the
-    wrapped serial kernel for degenerate shard plans.  Exposes the
-    inner kernel's ``shape_class`` so plan introspection still works.
+    place of the serial kernel: ``run_nchw`` shards the call, falling
+    back to the wrapped serial kernel when only one shard would be
+    produced.  Exposes the inner kernel's ``shape_class`` so plan
+    introspection still works.
     """
 
     layout = "nchw"
@@ -787,124 +270,31 @@ class ParallelKernel:
         padding: int = 0,
         activation: str = "relu",
     ) -> np.ndarray:
-        return _execute_sharded(
-            self.spec_name,
-            self.shape_class,
-            self.inner,
-            x,
-            weight,
-            bias,
-            padding,
-            activation,
-            self.workers,
-        )
+        shards = plan_shards(x.shape[0], weight.shape[0], self.workers)
+        if len(shards) <= 1:
+            return self.inner.run_nchw(x, weight, bias, padding=padding, activation=activation)
+        sc = self.shape_class
+        n, _, h, w = x.shape
+        m, _, k, _ = weight.shape
+        po = (h + 2 * padding - k + 1 - sc.pool) // sc.stride + 1
+        qo = (w + 2 * padding - k + 1 - sc.pool) // sc.stride + 1
+        # The output dtype follows the kernel's arithmetic width, as serially.
+        out = np.empty((n, m, po, qo), np.float32 if sc.bits == 32 else np.float64)
+
+        def run_shard(shard: Shard) -> None:
+            kern = _thread_kernel(self.spec_name, sc)
+            sl = slice(shard.start, shard.stop)
+            if shard.axis == "images":
+                args, dest = (x[sl], weight, bias), (sl,)
+            else:
+                bs = None if bias is None else bias[sl]
+                args, dest = (x, weight[sl], bs), (slice(None), sl)
+            out[dest] = kern.run_nchw(*args, padding=padding, activation=activation)
+
+        _run_sharded("parallel.fused_conv_pool", "kernel", shards, self.workers, run_shard)
+        return out
 
     __call__ = run_nchw
 
     def __repr__(self) -> str:
         return f"<ParallelKernel {self.spec_name} workers={self.workers}>"
-
-
-# ---------------------------------------------------------------------------
-# Parallel full-plan execution
-# ---------------------------------------------------------------------------
-
-def _pickle_with_serial_kernels(model: Any) -> bytes:
-    """Pickle ``model`` with any :class:`ParallelKernel` bindings unwrapped.
-
-    Swaps each wrapped kernel back to its serial inner kernel for the
-    duration of the pickle and restores the wrapper afterwards, so the
-    in-process model keeps sharding per-layer while the worker-side
-    copy never spawns pools of its own.
-    """
-    swapped = []
-    named = getattr(model, "named_modules", None)
-    if callable(named):
-        for _, mod in named():
-            kern = getattr(mod, "kernel", None)
-            if isinstance(kern, ParallelKernel):
-                swapped.append((mod, kern))
-                mod.attach_kernel(kern.inner)
-    try:
-        return pickle.dumps(model)
-    finally:
-        for mod, kern in swapped:
-            mod.attach_kernel(kern)
-
-
-class ParallelPlanExecutor:
-    """Run a compiled model's inference across the worker pool.
-
-    The model is pickled *once* here and unpickled *once* per worker at
-    pool startup — per-call traffic is one shared-memory input segment
-    plus per-shard output arrays.  Batches smaller than the worker
-    count run serially in-process (model outputs couple all channels,
-    so only the batch axis shards).
-
-    A model compiled with :class:`ParallelizePass` carries
-    :class:`ParallelKernel` bindings; the shipped plan unwraps them to
-    their serial kernels (workers already own a whole-batch shard, and
-    nested worker pools inside a worker would oversubscribe or wedge a
-    small host).  The caller's model object is left untouched.
-    """
-
-    def __init__(self, model: Any, workers: int) -> None:
-        import hashlib
-
-        self.model = model
-        self.workers = max(1, int(workers))
-        self._blob = _pickle_with_serial_kernels(model)
-        self.plan_digest = hashlib.sha256(self._blob).hexdigest()[:16]
-
-    def _serial(self, x: np.ndarray) -> np.ndarray:
-        from repro.nn.tensor import Tensor, no_grad
-
-        with no_grad():
-            return self.model(Tensor(x)).data
-
-    def run(self, x: np.ndarray) -> np.ndarray:
-        """Inference on ``x`` (N, C, H, W).
-
-        Matches serial execution within float round-off (~1e-15 —
-        BLAS blocking inside dense layers depends on the batch size,
-        so per-shard GEMMs associate differently than one full-batch
-        GEMM); the fused conv-pool layers themselves are exact.
-        """
-        from repro.obs.tracer import get_tracer
-
-        x = np.ascontiguousarray(np.asarray(x, dtype=np.float64))
-        shards = [s for s in plan_shards(x.shape[0], 0, self.workers) if s.size]
-        if self.workers <= 1 or len(shards) <= 1 or shards[0].axis != "images":
-            return self._serial(x)
-        pool = get_executor(self.workers, self._blob, self.plan_digest)
-        arena = _ARENAS.acquire(x.nbytes)
-        try:
-            arena.put(x)
-            task_base = {
-                "x_name": arena.name,
-                "x_shape": tuple(x.shape),
-                "dtype": np.dtype(np.float64).str,
-            }
-            _telemetry_submit("plan", len(shards), self.workers)
-            with get_tracer().span(
-                "parallel.plan",
-                category="parallel",
-                workers=self.workers,
-                shards=len(shards),
-            ):
-                futures = [
-                    pool.submit(_run_plan_shard, {**task_base, "shard": s})
-                    for s in shards
-                ]
-                results = [f.result() for f in futures]
-                _absorb_shard_results(results, "plan")
-                out = np.concatenate(
-                    [r["out"] for r in sorted(results, key=lambda r: r["shard"].start)],
-                    axis=0,
-                )
-        finally:
-            _ARENAS.release(arena)
-        return out
-
-    def __repr__(self) -> str:
-        return f"<ParallelPlanExecutor workers={self.workers} plan={self.plan_digest}>"

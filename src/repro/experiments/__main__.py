@@ -31,8 +31,9 @@ forward + accelerator simulation under the tracer, joined with measured
 op counters against this host's calibrated roofline
 (:mod:`repro.obs.roofline`), printed as a per-layer/per-kernel table
 with span-coverage accounting.  ``--attrib-report PATH`` writes the
-rows as JSONL; ``--workers N`` routes the forward through the parallel
-plan executor so shard merge-back is part of the measurement.
+rows as JSONL; ``--workers N`` compiles with
+``mlcnn_pipeline(parallel_workers=N)`` so every fused layer runs
+thread-sharded and its shard spans are part of the measurement.
 
 ``--diff-trace A.jsonl B.jsonl`` is cross-run forensics
 (:mod:`repro.obs.forensics`): attribute both traces and print the
@@ -247,8 +248,8 @@ def main(argv=None) -> int:
         "--workers",
         type=int,
         default=1,
-        help="with --attrib: run the forward through the parallel plan "
-        "executor with N workers (default 1)",
+        help="with --attrib: compile with mlcnn_pipeline(parallel_workers=N), "
+        "sharding every fused layer across N threads (default 1)",
     )
     parser.add_argument(
         "--diff-trace",

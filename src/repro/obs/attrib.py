@@ -7,9 +7,9 @@ is joined.  This module is the join: one
 :class:`AttributionReport` per run, with a per-layer/per-kernel table
 of
 
-* **measured wall time** (total and self time, worker-shard spans
-  included — :func:`repro.core.parallel._absorb_shard_results` merges
-  them back as real spans),
+* **measured wall time** (total and self time, shard spans included —
+  :mod:`repro.core.parallel` records one ``parallel.shard.*`` span per
+  shard thread under the enclosing ``parallel.*`` span),
 * **ops and bytes** (measured counters attached to leaf spans by
   :func:`~repro.obs.instrument.instrument_model` with
   ``counters=True``, or the analytic fallback for plain dense layers),
@@ -153,13 +153,26 @@ class _Node:
         return self.ts_us + self.dur_us
 
 
+def _recorded_siblings(node: _Node, other: _Node) -> bool:
+    """True when the tracer recorded both spans directly under one parent."""
+    row, other_row = node.row, other.row
+    return (
+        row.get("parent") is not None
+        and row.get("parent") == other_row.get("parent")
+        and row.get("depth") == other_row.get("depth")
+    )
+
+
 def _build_forest(rows: Sequence[Mapping[str, Any]]) -> List[_Node]:
     """Rebuild the span tree per thread by interval containment.
 
     The tracer records spans in *completion* order; sorting by start
     time (longer spans first on ties) lets a single stack sweep assign
-    every span to its tightest enclosing parent.  Instant events attach
-    to the deepest span covering their timestamp.
+    every span to its tightest enclosing parent.  Spans the tracer
+    recorded at the same depth under the same parent stay siblings even
+    when one interval contains the other — concurrent shard spans,
+    backdated side by side by :meth:`Tracer.record_span`.  Instant
+    events attach to the deepest span covering their timestamp.
     """
     forest: List[_Node] = []
     by_tid: Dict[Any, List[Dict[str, Any]]] = {}
@@ -176,6 +189,7 @@ def _build_forest(rows: Sequence[Mapping[str, Any]]) -> List[_Node]:
             while stack and not (
                 node.ts_us >= stack[-1].ts_us - _EPS_US
                 and node.end_us <= stack[-1].end_us + _EPS_US
+                and not _recorded_siblings(node, stack[-1])
             ):
                 stack.pop()
             if stack:
@@ -204,12 +218,20 @@ def _attributed_us(node: _Node) -> float:
 
     A leaf explains its whole duration; an inner span is explained by
     the sum of its children, capped at its own duration (concurrent
-    children — worker shards recorded back-to-back — may sum past the
-    parent they overlap inside).
+    children — shard threads — may sum past the parent they overlap
+    inside).  A span that declares how many shards it ran (the
+    ``shards`` attr of the ``parallel.*`` spans in
+    :mod:`repro.core.parallel`) is explained only in proportion to the
+    shard spans found under it, so a lost shard shows up as coverage
+    loss instead of hiding under the cap.
     """
     if not node.children:
         return node.dur_us
-    return min(node.dur_us, sum(_attributed_us(c) for c in node.children))
+    explained = min(node.dur_us, sum(_attributed_us(c) for c in node.children))
+    shards = int((node.row.get("attrs") or {}).get("shards", 0))
+    if shards > len(node.children):
+        explained *= len(node.children) / shards
+    return explained
 
 
 @dataclass
@@ -520,9 +542,9 @@ def attribute_model_run(
 
     Compiles ``model_name`` through the canonical MLCNN pipeline
     (compiler-pass spans), instruments it with per-layer counter
-    collection, runs one inference batch (through the
-    :class:`~repro.core.parallel.ParallelPlanExecutor` when
-    ``workers > 1``, so shard merge-back is part of the measurement),
+    collection, runs one inference batch (compiled with
+    ``mlcnn_pipeline(parallel_workers=workers)`` when ``workers > 1``,
+    so every fused layer's shard spans are part of the measurement),
     optionally simulates the model's layer specs on the accelerator
     model, and returns the joined report.  Uses the process-wide
     tracer; any previously collected events are cleared.
@@ -541,33 +563,12 @@ def attribute_model_run(
     tracer.clear()
     tracer.enable()
     try:
-        mlcnn_pipeline(bits=bits, strict=False).run(model, ctx)
+        mlcnn_pipeline(bits=bits, strict=False, parallel_workers=workers).run(model, ctx)
         x = np.random.default_rng(seed).normal(size=(batch, 3, 32, 32))
-        if workers > 1:
-            # The executor pickles the model for its worker pool, so it
-            # must snapshot *before* instrumentation wraps forwards with
-            # local closures; per-shard work comes back as
-            # ``parallel.shard.*`` spans with merged counters instead of
-            # in-process layer spans.
-            from repro.core.parallel import ParallelPlanExecutor
-
-            executor = ParallelPlanExecutor(model, workers)
-            obs.instrument_model(model, prefix=model_name, counters=True)
-            model.eval()
-            # Warm the worker pool untraced: process spawn + plan
-            # shipping is one-time setup, not per-run work, and would
-            # otherwise swamp the measured shard spans.
-            tracer.disable()
-            try:
-                executor.run(x)
-            finally:
-                tracer.enable()
-            executor.run(x)
-        else:
-            obs.instrument_model(model, prefix=model_name, counters=True)
-            model.eval()
-            with no_grad():
-                model(Tensor(x))
+        obs.instrument_model(model, prefix=model_name, counters=True)
+        model.eval()
+        with no_grad():
+            model(Tensor(x))
         if simulate:
             try:
                 from repro.accel import get_config, simulate_network

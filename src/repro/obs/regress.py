@@ -86,8 +86,8 @@ POLICY_OVERRIDES: Dict[str, TolerancePolicy] = {
     # Span coverage is the attribution engine's self-check: the
     # fraction of measured wall time explained by instrumented spans.
     # It is deterministic tooling behaviour, not host speed — a drop
-    # means instrumentation coverage was lost (e.g. worker shard
-    # merge-back broke), which fails the gate.
+    # means instrumentation coverage was lost (e.g. a shard span went
+    # missing), which fails the gate.
     "attrib.span_coverage": TolerancePolicy(
         direction="higher", rel_tol=0.05, abs_tol=0.02
     ),

@@ -14,8 +14,8 @@ serving process scrapes every second instead of reading once at exit:
 * **The registry** — :class:`TelemetryRegistry`, process-wide via
   :func:`get_telemetry` and **disabled by default**: every instrument
   checks ``registry.enabled`` before doing any work, so permanently
-  instrumented hot paths (the ``Trainer`` batch loop, the parallel
-  worker pools) cost one attribute check when telemetry is off —
+  instrumented hot paths (the ``Trainer`` batch loop) cost one
+  attribute check when telemetry is off —
   the same contract as the tracer, guarded by
   ``tests/obs/test_telemetry_overhead.py``.
 * **The scraper** — :meth:`TelemetryRegistry.snapshot` freezes the

@@ -182,13 +182,14 @@ class Tracer:
     ) -> None:
         """Record an already-measured span (duration known, body elsewhere).
 
-        Used to merge work that happened outside this tracer — e.g. a
-        worker process's shard, whose wall time travelled back as a
-        number — into the timeline as a real span.  The span is
-        backdated to end *now*: the caller invokes this right after the
-        foreign work completed, so ``[now - dur, now]`` lies inside the
-        currently open parent span and tree reconstruction by interval
-        containment (:mod:`repro.obs.attrib`) still works.
+        Used to put work timed elsewhere — e.g. a shard that ran on a
+        pool thread (:mod:`repro.core.parallel`) — into the calling
+        thread's timeline as a real span, nested under the span that
+        thread has open.  The span is backdated to end *now*: the
+        caller invokes this right after the work completed, so
+        ``[now - dur, now]`` lies inside the currently open parent span
+        and tree reconstruction by interval containment
+        (:mod:`repro.obs.attrib`) still works.
         """
         if not self.enabled:
             return

@@ -1,18 +1,25 @@
-"""The multi-core parallel execution engine.
+"""The thread-sharded execution engine.
 
-Three layers of coverage:
+Coverage:
 
-* pure planning/arena logic (no processes) — shard geometry, arena
-  recycling, counter merge/round-trip semantics;
-* the counter-merge regression bar — two disjoint shard collections
-  merged must sum to within 1% of the serial analytic model, the same
-  bar ``tests/obs/test_counters_crosscheck.py`` holds serial runs to;
-* live worker-pool execution — equivalence to the serial kernels
-  (exact for int, float round-off for floats), counter and tracer
-  flow-back, the ``parallelize`` compiler stage, and the full-plan
-  executor.  These spawn real processes; the pools persist across the
-  module and are torn down once at the end.
+* shard planning (pure logic);
+* counters from concurrent shard threads — recorded into one
+  collection, they must sum to within 1% of the serial analytic model,
+  the bar ``tests/obs/test_counters_crosscheck.py`` holds serial runs to;
+* sharded execution — equivalence to the serial kernels (exact for
+  int, round-off for f64, the fp32 bound for fp32), counter and tracer
+  flow-back, and the ``parallelize`` compiler stage;
+* how the engine starts and fails — a script with no ``__main__``
+  guard, and a shard that raises.
 """
+
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,32 +34,27 @@ from repro.compiler import (
 )
 from repro.core.fixedpoint import QuantizedTensor, fused_conv_pool_int, quantize_tensor
 from repro.core.fusion import fused_conv_pool, fused_conv_pool_counted
+from repro.core.kernels import KERNEL_REGISTRY, ShapeClass
+from repro.core.kernels.nhwc import F32NHWCKernel
 from repro.core.parallel import (
-    ArenaPool,
     ParallelKernel,
-    ParallelPlanExecutor,
-    SharedArena,
     Shard,
     available_workers,
     parallel_fused_conv_pool,
     parallel_fused_conv_pool_int,
     plan_shards,
-    shutdown_pools,
 )
 from repro.core.opcount import mlcnn_layer_ops
 from repro.models import build_model
 from repro.models.specs import LayerSpec
 from repro.nn.tensor import Tensor, no_grad
-from repro.obs.metrics import OpCounters, collect_counters
+from repro.obs.metrics import collect_counters, collect_thread_counters
 from repro.obs.tracer import get_tracer
 
+SRC = Path(__file__).resolve().parents[2] / "src"
+
 RTOL = 0.01  # the crosscheck suite's 1% acceptance bar
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _teardown_pools():
-    yield
-    shutdown_pools()
+F32_ATOL = 1e-3  # the fp32 kernel's bound in tests/core/test_kernels.py
 
 
 @pytest.fixture
@@ -61,7 +63,7 @@ def rng():
 
 
 # ---------------------------------------------------------------------------
-# Planning (no processes)
+# Planning
 # ---------------------------------------------------------------------------
 
 class TestPlanShards:
@@ -86,59 +88,16 @@ class TestPlanShards:
         assert len(plan_shards(2, 3, 8)) == 3  # channels axis, 3 units
 
 
-class TestArenas:
-    def test_put_view_round_trip(self, rng):
-        a = rng.normal(size=(3, 4, 5))
-        arena = SharedArena(a.nbytes)
-        try:
-            arena.put(a)
-            np.testing.assert_array_equal(arena.view(a.shape, a.dtype), a)
-        finally:
-            arena.close()
-
-    def test_view_rejects_overflow(self):
-        arena = SharedArena(64)
-        try:
-            with pytest.raises(ValueError):
-                arena.view((100,), np.float64)
-        finally:
-            arena.close()
-
-    def test_pool_recycles_by_name(self):
-        pool = ArenaPool()
-        try:
-            a = pool.acquire(1024)
-            name = a.name
-            pool.release(a)
-            b = pool.acquire(512)  # smaller request reuses the segment
-            assert b.name == name
-        finally:
-            pool.close()
-
-
 # ---------------------------------------------------------------------------
-# Counter merge semantics (satellite: OpCounters.merge in the reducer)
+# Counters from concurrent shard threads
 # ---------------------------------------------------------------------------
 
 class TestCounterMerge:
-    def test_from_dict_tolerates_derived_keys(self):
-        oc = OpCounters(mults=5, half_additions=3)
-        doc = oc.as_dict(include_derived=True)  # adds additions/reuse_hits
-        back = OpCounters.from_dict(doc)
-        assert back == oc
-
-    def test_merge_is_fieldwise_sum(self):
-        a = OpCounters(mults=2, dram_bytes=1.5)
-        b = OpCounters(mults=3, lar_reuse_hits=7)
-        merged = OpCounters.from_dict(a.as_dict()).merge(b)
-        assert merged.mults == 5
-        assert merged.dram_bytes == 1.5
-        assert merged.lar_reuse_hits == 7
-
     def test_disjoint_shards_merge_to_analytic_model(self):
-        """The parallel reducer's contract: counters collected from two
-        disjoint image shards, merged, must sum to within 1% of the
-        serial analytic model for the whole batch."""
+        """Two disjoint image shards counted on two threads at once
+        land in one collection summing to within 1% of the serial
+        analytic model for the whole batch; each thread's own
+        collection sees exactly its share."""
         spec = LayerSpec(
             "k3p2", in_channels=3, out_channels=4, input_size=12, kernel=3, pool=2
         )
@@ -149,16 +108,19 @@ class TestCounterMerge:
         )
         b = rng.normal(size=spec.out_channels)
 
-        shard_counts = []
-        for lo, hi in ((0, 2), (2, 4)):
-            with collect_counters() as oc:
+        def shard(lo, hi):
+            with collect_thread_counters() as own:
                 for i in range(lo, hi):
                     fused_conv_pool_counted(batch[i], w, b, pool=spec.pool)
-            shard_counts.append(OpCounters.from_dict(oc.as_dict(include_derived=False)))
+            return own
 
-        merged = OpCounters()
-        for part in shard_counts:
-            merged.merge(part)
+        with collect_counters() as merged:
+            with ThreadPoolExecutor(2) as pool:
+                shares = list(pool.map(shard, (0, 2), (2, 4), timeout=60))
+
+        assert all(share.mults > 0 for share in shares)
+        assert merged.mults == sum(share.mults for share in shares)
+        assert merged.additions == sum(share.additions for share in shares)
 
         ml = mlcnn_layer_ops(spec)
         n = len(batch)
@@ -172,7 +134,7 @@ class TestCounterMerge:
 
 
 # ---------------------------------------------------------------------------
-# Live worker-pool execution
+# Sharded execution
 # ---------------------------------------------------------------------------
 
 WORKERS = 2
@@ -220,21 +182,23 @@ class TestParallelKernelExecution:
         par = parallel_fused_conv_pool_int(xq, wq, b, pool=2, workers=WORKERS)
         assert (par == serial).all()  # integer addition is associative
 
-    def test_workers_arg_on_fused_conv_pool(self, rng):
+    def test_workers_arg_on_parallel_fused_conv_pool(self, rng):
         x = rng.normal(size=(4, 2, 12, 12))
         w = rng.normal(size=(3, 2, 3, 3))
         with no_grad():
             serial = fused_conv_pool(Tensor(x), Tensor(w), pool=2).data
-            par = fused_conv_pool(Tensor(x), Tensor(w), pool=2, workers=WORKERS).data
+        par = parallel_fused_conv_pool(x, w, None, pool=2, workers=WORKERS)
         np.testing.assert_allclose(par, serial, atol=1e-12)
 
     def test_grad_path_stays_serial_and_trainable(self, rng):
-        x = Tensor(rng.normal(size=(2, 1, 8, 8)))
-        w = Tensor(rng.normal(size=(2, 1, 3, 3)))
-        x.requires_grad = w.requires_grad = True
-        out = fused_conv_pool(x, w, pool=2, workers=WORKERS)
+        model, _ = mlcnn_pipeline(parallel_workers=WORKERS).run(
+            build_model("lenet5", seed=3)
+        )
+        assert all(isinstance(k, ParallelKernel) for _, k in lowered_kernels(model))
+        x = Tensor(rng.normal(size=(2, 3, 32, 32)))
+        out = model(x)  # grad mode: the autograd path, not the bound kernel
         out.sum().backward()  # would fail if the sharded leaf were returned
-        assert x.grad is not None and w.grad is not None
+        assert all(p.grad is not None for p in model.parameters())
 
     def test_serial_fallback_workers_1(self, rng):
         x = rng.normal(size=(4, 2, 12, 12))
@@ -246,12 +210,13 @@ class TestParallelKernelExecution:
     def test_worker_counters_merge_into_parent(self, rng):
         x = rng.normal(size=(4, 2, 12, 12))
         w = rng.normal(size=(3, 2, 3, 3))
-        with collect_counters() as serial_oc:
-            parallel_fused_conv_pool(x, w, None, pool=2, workers=1)
-        with collect_counters() as par_oc:
-            parallel_fused_conv_pool(x, w, None, pool=2, workers=WORKERS)
-        assert par_oc.mults == serial_oc.mults > 0
-        assert par_oc.mults_eliminated == serial_oc.mults_eliminated
+        for bits in (64, 32):
+            with collect_counters() as serial_oc:
+                parallel_fused_conv_pool(x, w, None, pool=2, workers=1, bits=bits)
+            with collect_counters() as par_oc:
+                parallel_fused_conv_pool(x, w, None, pool=2, workers=WORKERS, bits=bits)
+            assert serial_oc.mults > 0
+            assert par_oc == serial_oc
 
     def test_parent_reemits_shard_spans(self, rng):
         x = rng.normal(size=(4, 2, 12, 12))
@@ -274,6 +239,91 @@ class TestParallelKernelExecution:
 
     def test_available_workers_positive(self):
         assert available_workers() >= 1
+
+
+class TestPerShardKernelInstances:
+    """Lowered kernels keep per-shape workspaces (``F32NHWCKernel._plans``);
+    equal-size shards sharing one instance overwrite each other's
+    box-sum plane and folded weights.  A barrier after the box sum makes
+    both shards be mid-call at once on every call, so the overlap does
+    not depend on how the host schedules the threads."""
+
+    @pytest.mark.parametrize(
+        "x_shape, m", [((4, 8, 16, 16), 8), ((1, 8, 16, 16), 8)], ids=["images", "channels"]
+    )
+    def test_fp32_equal_shards_match_serial(self, rng, monkeypatch, x_shape, m):
+        x = rng.normal(size=x_shape)
+        w = rng.normal(size=(m, x_shape[1], 3, 3))
+        b = rng.normal(size=m)
+        shards = plan_shards(x_shape[0], m, WORKERS)
+        assert len(shards) == WORKERS and len({s.size for s in shards}) == 1
+        serial = parallel_fused_conv_pool(x, w, b, pool=2, padding=1, workers=1, bits=32)
+        assert serial.dtype == np.float32
+
+        barrier = threading.Barrier(WORKERS, timeout=30)
+        box_sum = F32NHWCKernel._box_sum
+
+        def box_sum_then_meet(self, plan, xs):
+            box_sum(self, plan, xs)
+            barrier.wait()
+
+        monkeypatch.setattr(F32NHWCKernel, "_box_sum", box_sum_then_meet)
+        for _ in range(20):
+            par = parallel_fused_conv_pool(
+                x, w, b, pool=2, padding=1, workers=WORKERS, bits=32
+            )
+            assert par.dtype == np.float32
+            np.testing.assert_allclose(par, serial, atol=F32_ATOL)
+
+
+class TestStartAndFailure:
+    def test_script_without_main_guard_runs(self, tmp_path):
+        script = tmp_path / "unguarded.py"
+        script.write_text(textwrap.dedent(
+            """
+            import numpy as np
+            from repro.core.parallel import parallel_fused_conv_pool
+
+            rng = np.random.default_rng(0)
+            x = rng.normal(size=(4, 2, 12, 12))
+            w = rng.normal(size=(3, 2, 3, 3))
+            out = parallel_fused_conv_pool(x, w, None, pool=2, workers=2)
+            serial = parallel_fused_conv_pool(x, w, None, pool=2, workers=1)
+            assert np.allclose(out, serial, atol=1e-12)
+            """
+        ))
+        proc = subprocess.run(
+            [sys.executable, str(script)],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_shard_exception_propagates_and_pool_recovers(self, rng, monkeypatch):
+        x = rng.normal(size=(4, 2, 12, 12))
+        w = rng.normal(size=(3, 2, 3, 3))
+        serial = parallel_fused_conv_pool(x, w, None, pool=2, workers=1)
+        sc = ShapeClass(kernel=3, pool=2, stride=2, bits=64, kind="float")
+        kernel_cls = type(KERNEL_REGISTRY.make(sc))
+        run_nchw = kernel_cls.run_nchw
+        boom = RuntimeError("shard failed")
+        raised = []
+
+        def fail_once(self, *args, **kwargs):
+            if not raised:
+                raised.append(True)
+                raise boom
+            return run_nchw(self, *args, **kwargs)
+
+        monkeypatch.setattr(kernel_cls, "run_nchw", fail_once)
+        with pytest.raises(RuntimeError) as excinfo:
+            parallel_fused_conv_pool(x, w, None, pool=2, workers=WORKERS)
+        assert excinfo.value is boom
+        again = parallel_fused_conv_pool(x, w, None, pool=2, workers=WORKERS)
+        np.testing.assert_allclose(again, serial, atol=1e-12)
 
 
 class TestParallelizePass:
@@ -328,46 +378,3 @@ class TestParallelizePass:
             mlcnn_pipeline().spec(),
         }
         assert len(specs) == 3  # worker count enters the plan-cache key
-
-
-class TestParallelPlanExecutor:
-    def test_matches_serial_within_float_bound(self, rng):
-        model, _ = mlcnn_pipeline().run(build_model("lenet5", seed=3))
-        x = rng.normal(size=(6, 3, 32, 32))
-        with no_grad():
-            want = model(Tensor(x)).data
-        ex = ParallelPlanExecutor(model, workers=WORKERS)
-        np.testing.assert_allclose(ex.run(x), want, atol=1e-12)
-
-    def test_small_batch_runs_serial(self, rng):
-        model, _ = mlcnn_pipeline().run(build_model("lenet5", seed=3))
-        x = rng.normal(size=(1, 3, 32, 32))
-        ex = ParallelPlanExecutor(model, workers=WORKERS)
-        with no_grad():
-            want = model(Tensor(x)).data
-        assert (ex.run(x) == want).all()
-
-    def test_parallel_compiled_plan_ships_serial_kernels(self):
-        # a plan compiled with ParallelizePass carries ParallelKernel
-        # bindings; the executor must unwrap them in the shipped blob
-        # (workers own whole-batch shards — nested pools would
-        # oversubscribe or wedge the host) without touching the
-        # caller's model
-        import pickle
-
-        model, _ = mlcnn_pipeline(parallel_workers=WORKERS).run(
-            build_model("lenet5", seed=3)
-        )
-        ex = ParallelPlanExecutor(model, workers=WORKERS)
-        shipped = [
-            mod.kernel
-            for _, mod in pickle.loads(ex._blob).named_modules()
-            if getattr(mod, "kernel", None) is not None
-        ]
-        assert shipped and not any(isinstance(k, ParallelKernel) for k in shipped)
-        kept = [
-            mod.kernel
-            for _, mod in model.named_modules()
-            if getattr(mod, "kernel", None) is not None
-        ]
-        assert kept and all(isinstance(k, ParallelKernel) for k in kept)

@@ -1,6 +1,8 @@
 """OpCounters, the recorder, provenance, and the run registry."""
 
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -11,6 +13,7 @@ from repro.obs.metrics import (
     RunRecord,
     area_for_figure,
     collect_counters,
+    collect_thread_counters,
     get_recorder,
     load_metrics_jsonl,
     metric_key,
@@ -48,11 +51,54 @@ class TestCounters:
                        bias_additions=1, lar_reuse_hits=4, gar_reuse_hits=6)
         assert a.additions == 11
         assert a.reuse_hits == 10
-        b = OpCounters(mults=7, half_additions=1)
-        a.merge(b)
-        assert a.mults == 7 and a.half_additions == 3
         doc = a.as_dict()
-        assert doc["additions"] == 12 and doc["reuse_hits"] == 10
+        assert doc["additions"] == 11 and doc["reuse_hits"] == 10
+        # records made on other threads merge into the process-wide
+        # collection; a thread-scoped collection sees only its own
+        rec = get_recorder()
+
+        def shard(n):
+            with collect_thread_counters() as own:
+                rec.record(mults=n)
+            return own.mults
+
+        with collect_counters() as total:
+            with ThreadPoolExecutor(2) as pool:
+                shares = list(pool.map(shard, (3, 4), timeout=60))
+        assert sorted(shares) == [3, 4]
+        assert total.mults == 7
+        assert not rec.enabled
+
+    def test_concurrent_records_lose_no_update(self):
+        # more threads than cores and a short switch interval: a lost
+        # read-modify-write in record() would break the exact totals
+        rec = get_recorder()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def shard(_):
+                with collect_thread_counters() as own:
+                    for _ in range(2000):
+                        rec.record(mults=1, dram_bytes=0.5)
+                return own.mults
+
+            with collect_counters() as total:
+                with ThreadPoolExecutor(8) as pool:
+                    shares = list(pool.map(shard, range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert shares == [2000] * 8
+        assert total.mults == 16000 and total.dram_bytes == 8000.0
+
+    def test_inner_collection_exit_keeps_equal_outer(self):
+        # sinks are compared by identity: an inner collection whose
+        # counts equal its parent's must not unhook the parent on exit
+        rec = get_recorder()
+        with collect_counters() as outer:
+            with collect_counters() as inner:
+                rec.record(mults=2)
+            rec.record(mults=1)
+        assert (outer.mults, inner.mults) == (3, 2)
 
     def test_exception_still_pops_sink(self):
         rec = get_recorder()

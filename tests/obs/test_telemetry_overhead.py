@@ -98,9 +98,8 @@ class TestTrainerDisabledOverhead:
 
 class TestKernelDisabledOverhead:
     def test_fused_conv_pool_unaffected_by_registry_state(self):
-        """The kernel path only touches telemetry at the parallel
-        submit/absorb sites; serial fused_conv_pool must be identical
-        wall time with the registry enabled or disabled."""
+        """The kernel path touches no telemetry; fused_conv_pool must
+        be identical wall time with the registry enabled or disabled."""
         rng = np.random.default_rng(0)
         x = rng.normal(size=(8, 3, 32, 32))
         w = rng.normal(size=(8, 3, 5, 5))
