@@ -19,9 +19,10 @@ Applications* (IPDPS 2022):
 * :mod:`repro.accel` — accelerator cycle/energy/area model and the
   RTL-level AR-unit/MAC-slice micro-simulator.
 * :mod:`repro.analysis` — FLOP audits and report formatting.
-* :mod:`repro.obs` — observability: process-wide tracer (spans,
-  counters, histograms), per-layer model instrumentation, JSONL /
-  Chrome-trace / summary exporters.
+* :mod:`repro.obs` — observability: process-wide span tracer,
+  telemetry registry and op counters, per-layer model instrumentation,
+  JSONL / Chrome-trace / summary exporters, and ``obs.session`` to
+  switch them all on for one run.
 
 Quickstart::
 

@@ -35,10 +35,8 @@ from repro.core.opcount import (
     network_ops,
 )
 from repro.core.fusion import (
-    box_sum,
     fused_conv_pool,
     FusedConvPool,
-    OpCounter,
     fused_conv_pool_counted,
     dense_conv_pool_counted,
 )
@@ -89,10 +87,8 @@ __all__ = [
     "dcnn_layer_ops",
     "mlcnn_layer_ops",
     "network_ops",
-    "box_sum",
     "fused_conv_pool",
     "FusedConvPool",
-    "OpCounter",
     "fused_conv_pool_counted",
     "dense_conv_pool_counted",
     "kernels",

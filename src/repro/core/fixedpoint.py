@@ -34,7 +34,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.fusion import box_sum
+from repro.core.kernels.boxsum import box_sum_cumsum
 from repro.obs.numerics import _ACTIVE, record_quant_event
 
 #: integer accumulator dtype — the hardware's wide accumulator
@@ -200,7 +200,7 @@ def fused_conv_pool_int(
     if c != cw:
         raise ValueError(f"channel mismatch: {c} vs {cw}")
 
-    acc = box_sum(xi, pool)  # exact int box sum (the I_Acc plane)
+    acc = box_sum_cumsum(xi, pool)  # exact int box sum (the I_Acc plane)
     co = h - k + 1
     po = (co - pool) // pool + 1
     if po < 1:
@@ -278,7 +278,7 @@ def fused_conv_pool_fp16(
     m, cw, k, _ = w16.shape
     if c != cw:
         raise ValueError(f"channel mismatch: {c} vs {cw}")
-    acc = box_sum(x16, pool)
+    acc = box_sum_cumsum(x16, pool)
     co = h - k + 1
     po = (co - pool) // pool + 1
     if po < 1:

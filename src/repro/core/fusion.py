@@ -24,28 +24,16 @@ Two implementations live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.core.kernels import boxsum as _boxsum
 from repro.core.kernels import fused as _kernels
+from repro.core.kernels.boxsum import box_sum_cumsum
 from repro.nn import functional as F
 from repro.nn.layers import Module
 from repro.nn.tensor import Tensor, is_grad_enabled, make_node, send_grad
-from repro.obs.metrics import get_recorder
-
-
-def box_sum(x: np.ndarray, p: int) -> np.ndarray:
-    """p x p box sum over the trailing two axes (the paper's ``I_Acc``).
-
-    Computed via the 2-D prefix-sum formulation
-    (:func:`repro.core.kernels.boxsum.box_sum_cumsum`) — O(H*W)
-    additions independent of ``p``, exact for integer dtypes.  Output
-    spatial dims are ``H - p + 1`` x ``W - p + 1``.
-    """
-    return _boxsum.box_sum_cumsum(x, p)
+from repro.obs.metrics import OpCounters, get_recorder
 
 
 def fused_conv_pool(
@@ -119,7 +107,7 @@ def fused_conv_pool(
         xd = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     else:
         xd = x.data
-    acc = box_sum(xd, pool)
+    acc = box_sum_cumsum(xd, pool)
     acc_t = make_node(acc, (x,))
     if acc_t.requires_grad:
 
@@ -254,64 +242,22 @@ class FusedConvPool(Module):
 # Instrumented reference executor
 # ---------------------------------------------------------------------------
 
-@dataclass
-class OpCounter:
-    """Scalar-operation tally of an instrumented kernel execution."""
-
-    multiplications: int = 0
-    additions: int = 0
-    #: additions spent in half/full (small) accumulations
-    half_additions: int = 0
-    full_additions: int = 0
-    major_additions: int = 0
-    bias_additions: int = 0
-    #: cache hits, i.e. additions *avoided* by LAR/GAR reuse
-    reuse_hits: int = 0
-    #: reuse_hits split by mechanism (LAR half-addition cache vs GAR
-    #: box-sum cache); lar_hits + gar_hits == reuse_hits
-    lar_hits: int = 0
-    gar_hits: int = 0
-
-    def add(self, kind: str, n: int = 1) -> None:
-        self.additions += n
-        setattr(self, kind, getattr(self, kind) + n)
-
-    @property
-    def total(self) -> int:
-        return self.multiplications + self.additions
-
-
-def _report_kernel_counters(counter: OpCounter, mults_eliminated: int = 0) -> None:
-    """Publish a counted execution into the measured-counter recorder."""
-    recorder = get_recorder()
-    if not recorder.enabled:
-        return
-    recorder.record(
-        mults=counter.multiplications,
-        mults_eliminated=mults_eliminated,
-        half_additions=counter.half_additions,
-        full_additions=counter.full_additions,
-        major_additions=counter.major_additions,
-        bias_additions=counter.bias_additions,
-        lar_reuse_hits=counter.lar_hits,
-        gar_reuse_hits=counter.gar_hits,
-    )
-
-
 def dense_conv_pool_counted(
     x: np.ndarray, weight: np.ndarray, bias: Optional[np.ndarray] = None, pool: int = 2
-) -> Tuple[np.ndarray, OpCounter]:
+) -> Tuple[np.ndarray, OpCounters]:
     """Reference dense execution (conv then average pool), fully counted.
 
     Single image ``(C, H, W)`` and weights ``(M, C, K, K)``; the conv is
     stride 1, valid padding, followed by a p x p stride-p average pool
     and ReLU.  This is the baseline the paper's 16-mult example uses.
+    Returns the output and its :class:`~repro.obs.metrics.OpCounters`
+    tally, which is also recorded into any active counter collection.
     """
     c, h, w = x.shape
     m, cw, k, _ = weight.shape
     if c != cw:
         raise ValueError(f"channel mismatch: input {c}, weight {cw}")
-    counter = OpCounter()
+    counter = OpCounters()
     co = h - k + 1
     conv = np.zeros((m, co, co))
     for to in range(m):
@@ -322,11 +268,11 @@ def dense_conv_pool_counted(
                     for ki in range(k):
                         for kj in range(k):
                             acc += x[ti, i + ki, j + kj] * weight[to, ti, ki, kj]
-                counter.multiplications += c * k * k
-                counter.add("major_additions", c * k * k - 1)
+                counter.mults += c * k * k
+                counter.major_additions += c * k * k - 1
                 if bias is not None:
                     acc += bias[to]
-                    counter.add("bias_additions", 1)
+                    counter.bias_additions += 1
                 conv[to, i, j] = acc
     po = (co - pool) // pool + 1
     out = np.zeros((m, po, po))
@@ -334,10 +280,10 @@ def dense_conv_pool_counted(
         for i in range(po):
             for j in range(po):
                 s = conv[to, i * pool : i * pool + pool, j * pool : j * pool + pool].sum()
-                counter.add("major_additions", pool * pool - 1)
-                counter.multiplications += 1  # scaling by 1/p^2
+                counter.major_additions += pool * pool - 1
+                counter.mults += 1  # scaling by 1/p^2
                 out[to, i, j] = max(s / (pool * pool), 0.0)
-    _report_kernel_counters(counter)
+    get_recorder().record(**counter.as_dict(include_derived=False))
     return out, counter
 
 
@@ -349,7 +295,7 @@ def fused_conv_pool_counted(
     use_lar: bool = True,
     use_gar_row: bool = True,
     use_gar_col: bool = True,
-) -> Tuple[np.ndarray, OpCounter]:
+) -> Tuple[np.ndarray, OpCounters]:
     """Algorithm 1 with explicit reuse caches and exact op counting.
 
     Single image ``(C, H, W)``; stride-1 valid conv + p x p stride-p
@@ -367,15 +313,16 @@ def fused_conv_pool_counted(
     * ``use_gar_col`` — they persist across output rows too (and across
       output channels, since ``I_Acc`` is input-only).
 
-    Returns the output feature map and the operation tally.  The output
-    is bit-identical in value to :func:`fused_conv_pool` up to fp
+    Returns the output feature map and the operation tally (an
+    :class:`~repro.obs.metrics.OpCounters`, also recorded into any
+    active counter collection).  The output is bit-identical in value to :func:`fused_conv_pool` up to fp
     association order.
     """
     c, h, w = x.shape
     m, cw, k, _ = weight.shape
     if c != cw:
         raise ValueError(f"channel mismatch: input {c}, weight {cw}")
-    counter = OpCounter()
+    counter = OpCounters()
     co = h - k + 1
     po = (co - pool) // pool + 1
 
@@ -393,13 +340,12 @@ def fused_conv_pool_counted(
         """Vertical run I[i..i+p-1, j] (p-1 additions, LAR-cached)."""
         key = (ti, i, j)
         if use_lar and key in ha_cache:
-            counter.reuse_hits += pool - 1
-            counter.lar_hits += pool - 1
+            counter.lar_reuse_hits += pool - 1
             return ha_cache[key]
         val = float(x[ti, i, j])
         for d in range(1, pool):
             val += float(x[ti, i + d, j])
-        counter.add("half_additions", pool - 1)
+        counter.half_additions += pool - 1
         if use_lar:
             ha_cache[key] = val
         return val
@@ -415,17 +361,16 @@ def fused_conv_pool_counted(
             # A cached I_Acc avoids the full p^2-1 additions a no-reuse
             # execution would spend (its constituent HA hits are not
             # separately counted), keeping additions+reuse_hits invariant.
-            counter.reuse_hits += pool * pool - 1
-            counter.gar_hits += pool * pool - 1
+            counter.gar_reuse_hits += pool * pool - 1
             return fa_cache[key]
         if use_lar:
             val = half_add(ti, i, j)
             for d in range(1, pool):
                 val = val + half_add(ti, i, j + d)
-            counter.add("full_additions", pool - 1)
+            counter.full_additions += pool - 1
         else:
             val = float(x[ti, i : i + pool, j : j + pool].sum())
-            counter.add("full_additions", pool * pool - 1)
+            counter.full_additions += pool * pool - 1
         if use_gar_row or use_gar_col:
             fa_cache[key] = val
         return val
@@ -455,20 +400,20 @@ def fused_conv_pool_counted(
                             v = weight[to, ti, ki, kj] * small_acc(
                                 ti, r * pool + ki, q * pool + kj
                             )
-                            counter.multiplications += 1
+                            counter.mults += 1
                             if first:
                                 acc = v
                                 first = False
                             else:
                                 acc += v
-                                counter.add("major_additions", 1)
+                                counter.major_additions += 1
                 val = acc * scale  # shift in hardware: not counted
                 if bias is not None:
                     val += bias[to]
-                    counter.add("bias_additions", 1)
+                    counter.bias_additions += 1
                 out[to, r, q] = max(val, 0.0)
     # RME elimination measured against a dense run of the same geometry:
     # c*k*k mults per conv output plus one scaling mult per pooled output.
-    dense_mults = m * (co * co * c * k * k + po * po)
-    _report_kernel_counters(counter, mults_eliminated=dense_mults - counter.multiplications)
+    counter.mults_eliminated = m * (co * co * c * k * k + po * po) - counter.mults
+    get_recorder().record(**counter.as_dict(include_derived=False))
     return out, counter

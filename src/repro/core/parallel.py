@@ -273,23 +273,26 @@ class ParallelKernel:
         shards = plan_shards(x.shape[0], weight.shape[0], self.workers)
         if len(shards) <= 1:
             return self.inner.run_nchw(x, weight, bias, padding=padding, activation=activation)
-        sc = self.shape_class
-        n, _, h, w = x.shape
-        m, _, k, _ = weight.shape
-        po = (h + 2 * padding - k + 1 - sc.pool) // sc.stride + 1
-        qo = (w + 2 * padding - k + 1 - sc.pool) // sc.stride + 1
-        # The output dtype follows the kernel's arithmetic width, as serially.
-        out = np.empty((n, m, po, qo), np.float32 if sc.bits == 32 else np.float64)
+        out = None
+        out_lock = threading.Lock()
 
         def run_shard(shard: Shard) -> None:
-            kern = _thread_kernel(self.spec_name, sc)
+            nonlocal out
+            kern = _thread_kernel(self.spec_name, self.shape_class)
             sl = slice(shard.start, shard.stop)
             if shard.axis == "images":
                 args, dest = (x[sl], weight, bias), (sl,)
             else:
                 bs = None if bias is None else bias[sl]
                 args, dest = (x, weight[sl], bs), (slice(None), sl)
-            out[dest] = kern.run_nchw(*args, padding=padding, activation=activation)
+            part = kern.run_nchw(*args, padding=padding, activation=activation)
+            with out_lock:
+                if out is None:
+                    # The output dtype is whatever the kernel returns, as
+                    # serially: the selected kernel, not the shape class's
+                    # bits, decides it (overlapping pools run in float64).
+                    out = np.empty((x.shape[0], weight.shape[0]) + part.shape[2:], part.dtype)
+            out[dest] = part
 
         _run_sharded("parallel.fused_conv_pool", "kernel", shards, self.workers, run_shard)
         return out

@@ -7,17 +7,21 @@ Usage::
     python -m repro.experiments --only table2 fig13
     python -m repro.experiments --list         # print experiment names
     python -m repro.experiments --pipeline lenet5 --bits 8 --report
-    python -m repro.experiments --pipeline lenet5 --trace out.json \\
-        --trace-format chrome      # unified compile/forward/simulate trace
-    python -m repro.experiments --only fig13 --trace-summary
+    python -m repro.experiments --pipeline lenet5 --bits 8 --obs run_a
+        # unified compile/forward/simulate trace, telemetry and profile
     python -m repro.experiments --bench-compare metrics.jsonl \\
         --bench-dashboard dashboard.md   # perf regression gate (CI)
 
-``--trace`` enables the process-wide tracer (:mod:`repro.obs`) for the
-whole run and writes the collected spans/events to the given path —
-JSONL by default, or the Chrome trace-event format with
-``--trace-format chrome`` (open in ``chrome://tracing`` or Perfetto).
-``--trace-summary`` prints the top-N-spans table after the run.
+``--obs DIR`` runs everything inside :func:`repro.obs.session`: the
+process-wide tracer and telemetry registry are on for the whole run,
+a background exporter scrapes the registry every 0.5 s and a sampling
+profiler watches the stacks.  At the end it writes ``trace.jsonl``,
+``trace.json`` (Chrome trace-event format, open in ``chrome://tracing``
+or Perfetto), ``telemetry.jsonl``, ``telemetry.prom``, ``profile.html``
+and ``profile.txt`` into ``DIR`` and prints the top-N-spans table, the
+telemetry series and the profiler's top frames.  With ``--pipeline``
+the run also includes a per-layer instrumented forward and the
+accelerator simulation of the model.
 
 ``--bench-compare`` feeds a benchmark run's ``--metrics-jsonl`` file
 through the tolerance-policy regression gate (:mod:`repro.obs.regress`)
@@ -53,18 +57,6 @@ width (default 8)::
 
     python -m repro.experiments --numerics lenet5 --bits 4 \\
         --numerics-report numerics.json
-
-``--telemetry`` enables the live metric registry
-(:mod:`repro.obs.telemetry`) for the run and prints the per-series
-summary at the end; ``--telemetry-report PATH`` additionally exports a
-JSONL snapshot time series (``.jsonl``, scraped every 0.5 s by a
-background exporter) or a final Prometheus text-format snapshot
-(``.prom``).  ``--profile PATH`` runs everything under the background
-sampling profiler and writes an HTML flamegraph (``.html``) or
-collapsed-stack text::
-
-    python -m repro.experiments --only fig13 --telemetry \\
-        --telemetry-report telemetry.jsonl --profile profile.html
 """
 
 from __future__ import annotations
@@ -267,43 +259,12 @@ def main(argv=None) -> int:
         "BENCH_<area>.json baselines (forensic ordering, not a gate)",
     )
     parser.add_argument(
-        "--trace",
-        metavar="PATH",
+        "--obs",
+        metavar="DIR",
         default=None,
-        help="enable the repro.obs tracer and write the trace to PATH",
-    )
-    parser.add_argument(
-        "--trace-format",
-        choices=("jsonl", "chrome"),
-        default="jsonl",
-        help="trace file format: JSONL event log or Chrome trace-event JSON",
-    )
-    parser.add_argument(
-        "--trace-summary",
-        action="store_true",
-        help="print the top-N-spans summary table after the run",
-    )
-    parser.add_argument(
-        "--telemetry",
-        action="store_true",
-        help="enable the live telemetry registry (repro.obs.telemetry) "
-        "for the run and print the metric summary at the end",
-    )
-    parser.add_argument(
-        "--telemetry-report",
-        metavar="PATH",
-        default=None,
-        help="implies --telemetry: export scraped snapshots to PATH — "
-        "a JSONL time series (background exporter, .jsonl) or a final "
-        "Prometheus text-format snapshot (.prom)",
-    )
-    parser.add_argument(
-        "--profile",
-        metavar="PATH",
-        default=None,
-        help="run under the background sampling profiler and write the "
-        "profile to PATH (HTML flamegraph for .html, collapsed-stack "
-        "text otherwise); prints the top functions and measured overhead",
+        help="trace, meter and profile the run (repro.obs.session) and "
+        "write trace.jsonl, trace.json, telemetry.jsonl, telemetry.prom, "
+        "profile.html and profile.txt to DIR",
     )
     parser.add_argument(
         "--bench-compare",
@@ -348,69 +309,43 @@ def main(argv=None) -> int:
     if args.bench_compare is not None or args.bench_dashboard is not None:
         return _bench_compare(args)
 
-    tracer = obs.get_tracer()
-    tracing = bool(args.trace or args.trace_summary)
-    if tracing:
-        tracer.clear()
-        tracer.enable()
-    telemetry = obs.get_telemetry()
-    telemetering = bool(args.telemetry or args.telemetry_report)
-    exporter = None
-    if telemetering:
-        telemetry.clear()
-        telemetry.enable()
-        if args.telemetry_report and args.telemetry_report.endswith(".jsonl"):
-            exporter = obs.TelemetryExporter(
-                telemetry, jsonl_path=args.telemetry_report, period_s=0.5
-            ).start()
-    profiler = obs.SamplingProfiler().start() if args.profile else None
+    if args.obs is None:
+        return _run(parser, args)
+    run = None
     try:
-        if args.pipeline is not None:
-            return _compile_pipeline(args.pipeline, args.bits, args.report)
-        if args.numerics is not None:
-            return _run_numerics(args)
-        return _run_suite(parser, args)
+        with obs.session(args.obs) as run:
+            return _run(parser, args)
     finally:
-        if profiler is not None:
-            profiler.stop()
-            if args.profile.endswith((".html", ".htm")):
-                profiler.write_flamegraph(args.profile)
-            else:
-                profiler.write_collapsed(args.profile)
-            print(
-                f"profile: {profiler.sample_count} sample(s) -> {args.profile} "
-                f"(measured overhead {100 * profiler.overhead_fraction:.3f}%)"
-            )
-            for frame, count in profiler.top_functions(5):
-                print(f"  {count:6d}  {frame}")
-        if telemetering:
-            if exporter is not None:
-                exporter.stop()
-                print(
-                    f"telemetry: {exporter.scrapes} snapshot(s) -> "
-                    f"{args.telemetry_report}"
-                )
-            elif args.telemetry_report:
-                snap = telemetry.snapshot()
-                with open(args.telemetry_report, "w") as fh:
-                    fh.write(snap.to_prometheus())
-                print(f"telemetry snapshot -> {args.telemetry_report}")
-            rows = telemetry.doc_rows()
-            if rows:
-                print("\ntelemetry:")
-                for row in rows:
-                    print(f"  {row}")
-            telemetry.disable()
-        if tracing:
-            tracer.disable()
-            if args.trace:
-                if args.trace_format == "chrome":
-                    n = obs.write_chrome_trace(args.trace, tracer)
-                else:
-                    n = obs.write_jsonl(args.trace, tracer)
-                print(f"trace: {n} event(s) -> {args.trace} [{args.trace_format}]")
-            if args.trace_summary:
-                print("\n" + obs.summary(tracer))
+        if run is not None:
+            _print_obs(run)
+
+
+def _run(parser: argparse.ArgumentParser, args) -> int:
+    if args.pipeline is not None:
+        return _compile_pipeline(args.pipeline, args.bits, args.report)
+    if args.numerics is not None:
+        return _run_numerics(args)
+    return _run_suite(parser, args)
+
+
+def _print_obs(run) -> None:
+    """What the run's :func:`repro.obs.session` recorded, in brief."""
+    prof = run.profiler
+    print(
+        f"\nobs: {len(run.tracer.events)} trace event(s), "
+        f"{run.exporter.scrapes} telemetry snapshot(s), "
+        f"{prof.sample_count} profile sample(s) "
+        f"(measured overhead {100 * prof.overhead_fraction:.3f}%) -> {run.out_dir}"
+    )
+    print("\n" + obs.summary(run.tracer))
+    rows = run.telemetry.doc_rows()
+    if rows:
+        print("\ntelemetry:")
+        for row in rows:
+            print(f"  {row}")
+    print("\nprofile (top frames):")
+    for frame, count in prof.top_functions(5):
+        print(f"  {count:6d}  {frame}")
 
 
 def _run_numerics(args) -> int:
@@ -653,9 +588,7 @@ def _run_suite(parser: argparse.ArgumentParser, args) -> int:
                 else:
                     report = fn()
             report.show()
-            wall = perf_counter() - start
-            tracer.observe("experiment.wall_s", wall)
-            print(f"  [{name}: {wall:.1f}s]")
+            print(f"  [{name}: {perf_counter() - start:.1f}s]")
     print(
         f"\n== total: {len(experiments)} experiment(s) in "
         f"{perf_counter() - suite_start:.1f}s =="

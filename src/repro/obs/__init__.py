@@ -3,21 +3,27 @@
 One process-wide :class:`Tracer` (disabled by default, near-zero
 overhead while off) that the compiler pipeline, the nn layers (via
 :func:`instrument_model`), the :class:`~repro.train.Trainer` and the
-accelerator simulator all report into, so a single run yields a single
-unified timeline.  Export it three ways::
+accelerator simulator all report spans into, so a single run yields a
+single unified timeline.  Values that are not spans — loss,
+throughput, sample and batch counts, latency distributions — live in
+the labeled telemetry registry (:func:`get_telemetry`); measured
+operation counts live in :class:`OpCounters` (:func:`collect_counters`).
+
+:func:`session` is the one switch for a whole run: it enables the
+tracer and the registry, scrapes and profiles in the background, and
+on exit writes the trace (JSONL + Chrome), the telemetry series
+(JSONL + Prometheus) and the profile (HTML flamegraph + collapsed
+stacks) into one directory::
 
     from repro import obs
 
-    obs.get_tracer().enable()
-    ...                                   # compile / train / simulate
-    obs.write_chrome_trace("trace.json")  # open in chrome://tracing
-    obs.write_jsonl("trace.jsonl")        # greppable event log
+    with obs.session("run_a"):
+        ...                               # compile / train / simulate
     print(obs.summary())                  # top-N spans table
 
 or from the CLI::
 
-    python -m repro.experiments --pipeline lenet5 --trace out.json \\
-        --trace-format chrome
+    python -m repro.experiments --pipeline lenet5 --bits 8 --obs run_a
 
 On top of collection sits the analysis layer: the roofline attribution
 engine (:func:`build_attribution` / :func:`attribute_model_run` — join
@@ -65,6 +71,7 @@ from repro.obs.metrics import (
     get_recorder,
     provenance,
 )
+from repro.obs.session import ObsSession, session
 from repro.obs.regress import (
     RegressionReport,
     TolerancePolicy,
@@ -86,10 +93,8 @@ from repro.obs.telemetry import (
 from repro.obs.tracer import (
     SpanEvent,
     Tracer,
-    add,
     event,
     get_tracer,
-    observe,
     span,
 )
 
@@ -101,6 +106,7 @@ __all__ = [
     "MetricRegistry",
     "NumericsCollector",
     "NumericsError",
+    "ObsSession",
     "OpCounters",
     "P2Quantile",
     "RegressionReport",
@@ -118,7 +124,6 @@ __all__ = [
     "Tracer",
     "Verdict",
     "Welford",
-    "add",
     "attribute_model_run",
     "build_attribution",
     "calibrate",
@@ -134,11 +139,11 @@ __all__ = [
     "get_telemetry",
     "get_tracer",
     "instrument_model",
-    "observe",
     "provenance",
     "read_telemetry_jsonl",
     "record_quant_event",
     "reorder_divergence",
+    "session",
     "span",
     "summary",
     "summary_report",

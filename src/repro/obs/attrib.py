@@ -93,8 +93,8 @@ def normalize_events(
     """Event dicts (span/instant rows) from any supported trace source.
 
     Accepts a :class:`Tracer`, a path to a JSONL trace, or an iterable
-    of already-parsed rows; counter/histogram aggregate rows are
-    dropped.  Returns rows shaped like the JSONL exporter's output.
+    of already-parsed rows; rows of any other type are dropped.
+    Returns rows shaped like the JSONL exporter's output.
     """
     if isinstance(source, Tracer):
         rows: List[Dict[str, Any]] = []

@@ -2,9 +2,9 @@
 
 Three consumers of one :class:`~repro.obs.tracer.Tracer`:
 
-* :func:`write_jsonl` — one JSON object per line (spans, instants,
-  then counter/histogram aggregates); greppable, diffable, the format
-  the benchmark trend-tracking option emits.
+* :func:`write_jsonl` — one JSON object per line (spans and instants,
+  in completion order); greppable, diffable, the input
+  ``--diff-trace`` and :func:`repro.obs.build_attribution` consume.
 * :func:`write_chrome_trace` — the Chrome trace-event format
   (``chrome://tracing`` / https://ui.perfetto.dev): spans become
   complete (``"ph": "X"``) events with microsecond ``ts``/``dur``,
@@ -46,7 +46,7 @@ def _json_safe(value):
 
 
 def to_jsonl(tracer: Optional[Tracer] = None) -> str:
-    """Serialize the tracer's events + aggregates, one JSON doc per line."""
+    """Serialize the tracer's events, one JSON doc per line."""
     tracer = tracer or get_tracer()
     lines: List[str] = []
     for ev in tracer.events:
@@ -65,11 +65,6 @@ def to_jsonl(tracer: Optional[Tracer] = None) -> str:
         if ev.attrs:
             doc["attrs"] = _json_safe(ev.attrs)
         lines.append(json.dumps(doc))
-    for name, value in sorted(tracer.counters.items()):
-        lines.append(json.dumps({"type": "counter", "name": name, "value": value}))
-    for name in sorted(tracer.histograms):
-        stats = tracer.histogram_stats(name)
-        lines.append(json.dumps({"type": "histogram", "name": name, **stats}))
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -144,14 +139,6 @@ def summary_report(tracer: Optional[Tracer] = None, top: int = 10):
         f"{len(tracer.events)} events ({n_instant} instant), "
         f"{len(agg)} distinct spans"
     )
-    for name, value in sorted(tracer.counters.items()):
-        rep.add_note(f"counter {name} = {value:g}")
-    for name in sorted(tracer.histograms):
-        s = tracer.histogram_stats(name)
-        rep.add_note(
-            f"histogram {name}: n={s['count']} mean={s['mean']:.4g} "
-            f"min={s['min']:.4g} max={s['max']:.4g}"
-        )
     return rep
 
 

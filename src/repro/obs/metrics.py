@@ -14,8 +14,8 @@ regression gate (:mod:`repro.obs.regress`) and the dashboard
    reused by LAR/GAR, SRAM bank accesses and conflicts, DRAM bytes and
    row hits.  Unlike the closed-form :mod:`repro.core.opcount`
    formulas, these numbers come from real executions, so the analytic
-   claims are auditable (``tests/obs/test_counters_crosscheck.py``
-   keeps the two within 1%)::
+   claims are auditable (the counter cross-check tests in
+   ``tests/obs`` keep the two within 1%)::
 
        from repro.obs.metrics import collect_counters
 

@@ -32,7 +32,7 @@ import sys
 import threading
 import time
 from collections import Counter as _TallyCounter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 __all__ = ["SamplingProfiler"]
 
@@ -80,14 +80,15 @@ class SamplingProfiler:
         self.elapsed_s = 0.0
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
-        self._own_tid: Optional[int] = None
+        #: threads not sampled: the instruments' own (``telemetry-*``)
+        self._skip_tids: Set[int] = set()
 
     # -- sampling ------------------------------------------------------------
     def _sample_once(self) -> None:
         t0 = time.perf_counter()
         frames = sys._current_frames()
         for tid, top in frames.items():
-            if tid == self._own_tid:
+            if tid in self._skip_tids:
                 continue
             stack: List[str] = []
             frame = top
@@ -104,7 +105,11 @@ class SamplingProfiler:
         self.sampling_wall_s += time.perf_counter() - t0
 
     def _loop(self) -> None:
-        self._own_tid = threading.get_ident()
+        # this sampler and a telemetry exporter started before it only
+        # observe the program; their idle waits are not part of it
+        self._skip_tids = {
+            t.ident for t in threading.enumerate() if t.name.startswith("telemetry-")
+        }
         while not self._stop.wait(self.interval_s):
             self._sample_once()
 

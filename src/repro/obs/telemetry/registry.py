@@ -6,9 +6,8 @@ serving process scrapes every second instead of reading once at exit:
 
 * **Instruments** — :class:`Counter` (monotone), :class:`Gauge`
   (last-write-wins) and :class:`Histogram` (exponential latency
-  buckets with streaming p50/p95/p99 derived from the bucket counts,
-  optionally cross-checked against the P² estimators from
-  :mod:`repro.obs.numerics`).  Each is a *family*: children are keyed
+  buckets with streaming p50/p95/p99 derived from the bucket counts).
+  Each is a *family*: children are keyed
   by their label set (``hist.labels(pool="plan").observe(ms)``), the
   Prometheus data model.
 * **The registry** — :class:`TelemetryRegistry`, process-wide via
@@ -26,9 +25,10 @@ serving process scrapes every second instead of reading once at exit:
   every scrape through an optional
   :class:`~repro.obs.telemetry.rules.AlertEngine`.
 
-Nothing here retains samples: histograms are fixed-size bucket arrays,
-quantiles are interpolated from them, and the optional P² cross-check
-estimators are O(1) per stream.
+Nothing here retains samples: histograms are fixed-size bucket arrays
+and quantiles are interpolated from them.  The test suite checks the
+interpolated quantiles against the independent P² estimators of
+:mod:`repro.obs.numerics` on the same sample streams.
 """
 
 from __future__ import annotations
@@ -203,25 +203,18 @@ class _HistogramChild:
 
     ``bounds`` are inclusive upper edges (Prometheus ``le`` semantics);
     ``counts`` has one extra slot for the +Inf overflow bucket.  The
-    observed min/max tighten quantile interpolation at the edges, and
-    the optional P² estimators provide an independent streaming
-    cross-check of the bucket-derived percentiles.
+    observed min/max tighten quantile interpolation at the edges.
     """
 
-    __slots__ = ("bounds", "counts", "count", "sum", "minimum", "maximum", "p2")
+    __slots__ = ("bounds", "counts", "count", "sum", "minimum", "maximum")
 
-    def __init__(self, bounds: Tuple[float, ...], crosscheck: Sequence[float]) -> None:
+    def __init__(self, bounds: Tuple[float, ...]) -> None:
         self.bounds = bounds
         self.counts = [0] * (len(bounds) + 1)
         self.count = 0
         self.sum = 0.0
         self.minimum = math.inf
         self.maximum = -math.inf
-        self.p2: Dict[float, Any] = {}
-        if crosscheck:
-            from repro.obs.numerics import P2Quantile
-
-            self.p2 = {float(q): P2Quantile(float(q)) for q in crosscheck}
 
     def observe(self, value: float) -> None:
         value = float(value)
@@ -232,8 +225,6 @@ class _HistogramChild:
             self.minimum = value
         if value > self.maximum:
             self.maximum = value
-        for est in self.p2.values():
-            est.add(value)
 
     @property
     def mean(self) -> float:
@@ -273,11 +264,6 @@ class _HistogramChild:
         upper = self.bounds[i] if i < len(self.bounds) else max(self.maximum, value)
         return max(upper - lower, 0.0)
 
-    def p2_quantile(self, q: float) -> float:
-        """The independent P² estimate (NaN unless cross-check is on)."""
-        est = self.p2.get(float(q))
-        return est.value if est is not None else math.nan
-
     def cumulative_buckets(self) -> List[Tuple[float, int]]:
         """(upper bound, cumulative count) pairs, +Inf last."""
         out, cum = [], 0
@@ -289,14 +275,7 @@ class _HistogramChild:
 
 
 class Histogram(_Instrument):
-    """Latency distribution in exponential buckets, scraped as quantiles.
-
-    ``crosscheck=(0.5, 0.95, 0.99)`` additionally streams every
-    observation through P² estimators so the bucket-derived percentiles
-    can be audited against an independent algorithm
-    (``tests/obs/test_telemetry_crosscheck.py``); off by default — the
-    bucket path is O(log buckets) per observe, the P² loop is not free.
-    """
+    """Latency distribution in exponential buckets, scraped as quantiles."""
 
     kind = "histogram"
 
@@ -306,17 +285,15 @@ class Histogram(_Instrument):
         name: str,
         help: str,
         buckets: Optional[Sequence[float]] = None,
-        crosscheck: Sequence[float] = (),
     ) -> None:
         super().__init__(registry, name, help)
         bounds = tuple(float(b) for b in (buckets or DEFAULT_LATENCY_BUCKETS_MS))
         if list(bounds) != sorted(bounds) or len(set(bounds)) != len(bounds):
             raise ValueError("histogram buckets must be strictly increasing")
         self.bounds = bounds
-        self.crosscheck = tuple(float(q) for q in crosscheck)
 
     def _make_child(self) -> _HistogramChild:
-        return _HistogramChild(self.bounds, self.crosscheck)
+        return _HistogramChild(self.bounds)
 
     def observe(self, value: float, **labels: Any) -> None:
         if not self._registry.enabled:
@@ -473,9 +450,8 @@ class TelemetryRegistry:
         name: str,
         help: str = "",
         buckets: Optional[Sequence[float]] = None,
-        crosscheck: Sequence[float] = (),
     ) -> Histogram:
-        return self._family(Histogram, name, help, buckets=buckets, crosscheck=crosscheck)
+        return self._family(Histogram, name, help, buckets=buckets)
 
     def get(self, name: str) -> Optional[_Instrument]:
         with self._lock:

@@ -1,10 +1,12 @@
-"""Process-wide tracer: nested spans, counters, histograms.
+"""Process-wide tracer: nested spans and instant events.
 
 One :class:`Tracer` collects every timing signal a run produces —
 compiler passes, per-layer forwards, training epochs, simulator layer
 attributions — into a single ordered event list that the exporters in
 :mod:`repro.obs.export` turn into JSONL, a Chrome trace, or a top-N
-summary table.
+summary table.  Values that are not spans (per-epoch loss, throughput,
+sample counts) go into span attributes or the labeled
+:mod:`repro.obs.telemetry` registry, not here.
 
 Design constraints:
 
@@ -14,8 +16,8 @@ Design constraints:
   before doing any per-call work.  The overhead guard in
   ``tests/obs/test_overhead.py`` keeps this honest.
 * **Thread safety.**  Each thread keeps its own span stack (nesting and
-  parent attribution are per-thread); the shared event list, counters
-  and histograms are guarded by one lock.
+  parent attribution are per-thread); the shared event list is guarded
+  by one lock.
 * **Exception safety.**  A span closes (and is recorded, tagged with
   the exception type) even when the body raises.
 
@@ -31,7 +33,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-__all__ = ["SpanEvent", "Tracer", "get_tracer", "span", "event", "add", "observe"]
+__all__ = ["SpanEvent", "Tracer", "get_tracer", "span", "event"]
 
 
 @dataclass
@@ -117,15 +119,13 @@ class _Span:
 
 
 class Tracer:
-    """Collects spans, instant events, counters and histogram samples."""
+    """Collects spans and instant events."""
 
     def __init__(self, enabled: bool = False) -> None:
         self.enabled = enabled
         self._lock = threading.Lock()
         self._local = threading.local()
         self._events: List[SpanEvent] = []
-        self._counters: Dict[str, float] = {}
-        self._histograms: Dict[str, List[float]] = {}
         self._epoch_s = time.perf_counter()
 
     # -- state ---------------------------------------------------------------
@@ -138,11 +138,9 @@ class Tracer:
         return self
 
     def clear(self) -> None:
-        """Drop all recorded events/counters and reset the epoch."""
+        """Drop all recorded events and reset the epoch."""
         with self._lock:
             self._events = []
-            self._counters = {}
-            self._histograms = {}
             self._epoch_s = time.perf_counter()
 
     # -- recording -----------------------------------------------------------
@@ -208,49 +206,12 @@ class Tracer:
             )
         )
 
-    def add(self, name: str, value: float = 1.0) -> None:
-        """Increment counter ``name`` by ``value``."""
-        if not self.enabled:
-            return
-        with self._lock:
-            self._counters[name] = self._counters.get(name, 0.0) + value
-
-    def observe(self, name: str, value: float) -> None:
-        """Record one sample into histogram ``name``."""
-        if not self.enabled:
-            return
-        with self._lock:
-            self._histograms.setdefault(name, []).append(float(value))
-
     # -- inspection ----------------------------------------------------------
     @property
     def events(self) -> List[SpanEvent]:
         """Snapshot of all recorded events, in completion order."""
         with self._lock:
             return list(self._events)
-
-    @property
-    def counters(self) -> Dict[str, float]:
-        with self._lock:
-            return dict(self._counters)
-
-    @property
-    def histograms(self) -> Dict[str, List[float]]:
-        with self._lock:
-            return {k: list(v) for k, v in self._histograms.items()}
-
-    def histogram_stats(self, name: str) -> Dict[str, float]:
-        """count / total / mean / min / max of one histogram series."""
-        values = self.histograms.get(name, [])
-        if not values:
-            return {"count": 0, "total": 0.0, "mean": 0.0, "min": 0.0, "max": 0.0}
-        return {
-            "count": len(values),
-            "total": sum(values),
-            "mean": sum(values) / len(values),
-            "min": min(values),
-            "max": max(values),
-        }
 
     def summary(self, top: int = 10) -> str:
         """Rendered top-N-spans table (see :func:`repro.obs.export.summary`)."""
@@ -288,10 +249,3 @@ def span(name: str, category: str = "", **attrs):
 def event(name: str, category: str = "", **attrs) -> None:
     _TRACER.event(name, category, **attrs)
 
-
-def add(name: str, value: float = 1.0) -> None:
-    _TRACER.add(name, value)
-
-
-def observe(name: str, value: float) -> None:
-    _TRACER.observe(name, value)

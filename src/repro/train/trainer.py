@@ -254,10 +254,6 @@ class Trainer:
                         val_top1=top1,
                         samples_per_sec=stats.samples_per_sec,
                     )
-                    tracer.add("train.samples", total_n)
-                    tracer.observe("train.loss", stats.train_loss)
-                    tracer.observe("train.val_top1", top1)
-                    tracer.observe("train.samples_per_sec", stats.samples_per_sec)
                     if batch_hist is not None:
                         thr_gauge.set(stats.samples_per_sec)
                         loss_gauge.set(stats.train_loss)

@@ -11,13 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.fusion import (
     FusedConvPool,
-    OpCounter,
-    box_sum,
     dense_conv_pool_counted,
     fused_conv_pool,
     fused_conv_pool_counted,
 )
 from repro.core import opcount as oc
+from repro.core.kernels.boxsum import box_sum_cumsum
 from repro.models.blocks import ConvBlock, PoolSpec
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor, no_grad
@@ -39,26 +38,26 @@ def rng():
 class TestBoxSum:
     def test_2x2_values(self):
         x = np.arange(9.0).reshape(3, 3)
-        out = box_sum(x, 2)
+        out = box_sum_cumsum(x, 2)
         np.testing.assert_allclose(out, [[8, 12], [20, 24]])
 
     def test_p1_is_identity(self, rng):
         x = rng.normal(size=(2, 5, 5))
-        assert box_sum(x, 1) is x
+        assert box_sum_cumsum(x, 1) is x
 
     def test_rejects_small_input(self):
         with pytest.raises(ValueError):
-            box_sum(np.zeros((2, 2)), 3)
+            box_sum_cumsum(np.zeros((2, 2)), 3)
 
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
-            box_sum(np.zeros((4, 4)), 0)
+            box_sum_cumsum(np.zeros((4, 4)), 0)
 
     def test_batched_leading_axes(self, rng):
         x = rng.normal(size=(2, 3, 6, 6))
-        out = box_sum(x, 2)
+        out = box_sum_cumsum(x, 2)
         assert out.shape == (2, 3, 5, 5)
-        np.testing.assert_allclose(out[1, 2], box_sum(x[1, 2], 2))
+        np.testing.assert_allclose(out[1, 2], box_sum_cumsum(x[1, 2], 2))
 
 
 class TestVectorizedEquivalence:
@@ -168,10 +167,10 @@ class TestCountedExecutor:
         w = rng.normal(size=(3, 2, 3, 3))
         _, dense = dense_conv_pool_counted(x, w, None)
         _, fused = fused_conv_pool_counted(x, w, None)
-        conv_only = dense.multiplications - dense.major_additions // 1 - 0
+        conv_only = dense.mults - dense.major_additions // 1 - 0
         # dense conv mults = 4 * fused mults (pool scaling mults excluded)
         pooled_outputs = 3 * 4 * 4
-        assert fused.multiplications * 4 == dense.multiplications - pooled_outputs
+        assert fused.mults * 4 == dense.mults - pooled_outputs
 
     def test_lar_per_output_matches_table2(self, rng):
         """Measured per-output additions with LAR reproduce Table II."""
@@ -287,7 +286,7 @@ class TestGeneralPoolSizes:
         out, counter = fused_conv_pool_counted(x, w, None, pool=3)
         ref = reference(x[None], w, None, 3)[0]
         np.testing.assert_allclose(out, ref, atol=1e-10)
-        assert counter.multiplications > 0
+        assert counter.mults > 0
 
     def test_pool3_small_acc_costs_eight_adds(self):
         """A 3x3 small accumulation costs p^2-1 = 8 additions without
@@ -311,5 +310,5 @@ class TestGeneralPoolSizes:
         _, fused = fused_conv_pool_counted(x, w, None, pool=3)
         _, dense = dense_conv_pool_counted(x, w, None, pool=3)
         pooled_outputs = 3 * 3
-        assert fused.multiplications == pooled_outputs * 9  # K^2 each
-        assert dense.multiplications == 9 * fused.multiplications + pooled_outputs
+        assert fused.mults == pooled_outputs * 9  # K^2 each
+        assert dense.mults == 9 * fused.mults + pooled_outputs

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.fixedpoint import IntPathStats, fused_conv_pool_int, quantize_tensor
-from repro.core.fusion import box_sum, fused_conv_pool
+from repro.core.fusion import fused_conv_pool
 from repro.core.kernels import (
     KERNEL_REGISTRY,
     F32NHWCKernel,
@@ -76,11 +76,6 @@ class TestBoxSumFormulations:
             box_sum_cumsum(x, 0)
         with pytest.raises(ValueError):
             box_sum_cumsum(x, 5)
-
-    def test_fusion_box_sum_is_the_cumsum_formulation(self, rng):
-        """core.fusion.box_sum delegates to the prefix-sum kernel."""
-        x = rng.normal(size=(2, 8, 12))
-        np.testing.assert_array_equal(box_sum(x, 3), box_sum_cumsum(x, 3))
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -27,7 +27,7 @@ class TestWorkedExample:
         x, w = example
         _, counter = dense_conv_pool_counted(x, w, None)
         pooled_outputs = 2 * 2  # conv out 4x4, pooled 2x2
-        conv_mults = counter.multiplications - pooled_outputs  # minus scales
+        conv_mults = counter.mults - pooled_outputs  # minus scales
         assert conv_mults / pooled_outputs == 16
 
     def test_dense_16_additions_with_bias(self, example):
@@ -50,15 +50,15 @@ class TestWorkedExample:
         x, w = example
         _, counter = fused_conv_pool_counted(x, w, None)
         pooled_outputs = 4
-        assert counter.multiplications / pooled_outputs == 4
+        assert counter.mults / pooled_outputs == 4
 
     def test_75_percent_eliminated(self, example):
         x, w = example
         _, dense = dense_conv_pool_counted(x, w, None)
         _, fused = fused_conv_pool_counted(x, w, None)
         pooled_outputs = 4
-        dense_conv_mults = dense.multiplications - pooled_outputs
-        assert 1 - fused.multiplications / dense_conv_mults == 0.75
+        dense_conv_mults = dense.mults - pooled_outputs
+        assert 1 - fused.mults / dense_conv_mults == 0.75
 
     def test_functional_value_identical(self, example):
         """'The value of P00 is the same, and thus the functional

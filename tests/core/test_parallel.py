@@ -166,6 +166,35 @@ class TestParallelKernelExecution:
         par = parallel_fused_conv_pool(x, w, None, pool=3, pool_stride=2, workers=WORKERS)
         np.testing.assert_allclose(par, serial, atol=1e-12)
 
+    @pytest.mark.parametrize("x_shape", [(4, 2, 13, 13), (1, 2, 13, 13)])  # both axes
+    def test_sharded_dtype_follows_the_kernel_that_runs(self, rng, x_shape):
+        # bits=32 with an overlapping pool selects fused-strided-f64, so the
+        # output is float64 however many workers share the call
+        x = rng.normal(size=x_shape)
+        w = rng.normal(size=(4, 2, 3, 3))
+        opts = dict(pool=3, pool_stride=2, bits=32)
+        serial = parallel_fused_conv_pool(x, w, None, workers=1, **opts)
+        par = parallel_fused_conv_pool(x, w, None, workers=WORKERS, **opts)
+        assert serial.dtype == par.dtype == np.float64
+        np.testing.assert_array_equal(par, serial)
+
+    def test_output_allocated_once_under_thread_churn(self, rng):
+        # the first shard to finish allocates the output; a second
+        # allocation would drop the shards already written.  Three
+        # workers are more than a 2-core host has; more would leave more
+        # idle pool threads behind for every later profile to sample
+        x = rng.normal(size=(6, 2, 10, 10))
+        w = rng.normal(size=(3, 2, 3, 3))
+        serial = parallel_fused_conv_pool(x, w, None, workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(30):
+                par = parallel_fused_conv_pool(x, w, None, workers=3)
+                np.testing.assert_array_equal(par, serial)
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_int_kernel_is_bit_identical(self, rng):
         x = rng.normal(size=(5, 2, 12, 12))
         w = rng.normal(size=(3, 2, 3, 3))

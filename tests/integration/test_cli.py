@@ -48,22 +48,22 @@ class TestExperimentsCLI:
 
 
 class TestTraceFlags:
-    @pytest.fixture(autouse=True)
-    def _clean_global_tracer(self):
-        yield
-        from repro.obs import get_tracer
+    """``--obs DIR``: the one observability switch of the CLI."""
 
-        get_tracer().disable()
-        get_tracer().clear()
+    @pytest.fixture(autouse=True)
+    def _clean_global_instruments(self):
+        yield
+        from repro.obs import get_telemetry, get_tracer
+
+        for instrument in (get_tracer(), get_telemetry()):
+            instrument.disable()
+            instrument.clear()
 
     def test_pipeline_chrome_trace_is_unified(self, tmp_path, capsys):
         """The acceptance command: compiler-pass, per-layer forward and
         simulator spans all land in one Chrome trace."""
-        path = tmp_path / "out.json"
-        assert main(
-            ["--pipeline", "lenet5", "--trace", str(path), "--trace-format", "chrome"]
-        ) == 0
-        doc = json.loads(path.read_text())
+        assert main(["--pipeline", "lenet5", "--bits", "8", "--obs", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "trace.json").read_text())
         events = doc["traceEvents"]
         assert events
         for ev in events:
@@ -75,24 +75,27 @@ class TestTraceFlags:
         assert "compile.pipeline" in names
         assert any(n.startswith("lenet5.") and n.endswith(".forward") for n in names)
         assert "sim.network" in names and "sim.layer" in names  # simulator
-        assert "trace:" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert f"-> {tmp_path}" in out
+        assert "profile (top frames):" in out
 
     def test_suite_jsonl_trace(self, tmp_path, capsys):
-        path = tmp_path / "out.jsonl"
-        assert main(["--only", "limits", "--trace", str(path)]) == 0
-        docs = [json.loads(line) for line in path.read_text().strip().split("\n")]
+        assert main(["--only", "limits", "--obs", str(tmp_path)]) == 0
+        text = (tmp_path / "trace.jsonl").read_text()
+        docs = [json.loads(line) for line in text.strip().split("\n")]
         names = {d["name"] for d in docs}
         assert "experiments.suite" in names
         assert "experiment.limits" in names
 
-    def test_trace_summary_prints_table(self, capsys):
-        assert main(["--only", "limits", "--trace-summary"]) == 0
+    def test_trace_summary_prints_table(self, tmp_path, capsys):
+        assert main(["--only", "limits", "--obs", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "== Trace:" in out
         assert "experiment.limits" in out
 
     def test_tracer_disabled_after_run(self, tmp_path):
-        from repro.obs import get_tracer
+        from repro.obs import get_telemetry, get_tracer
 
-        assert main(["--only", "limits", "--trace", str(tmp_path / "t.jsonl")]) == 0
+        assert main(["--only", "limits", "--obs", str(tmp_path)]) == 0
         assert not get_tracer().enabled
+        assert not get_telemetry().enabled

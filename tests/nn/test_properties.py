@@ -8,7 +8,7 @@ catching broadcasting and accumulation bugs that fixed examples miss.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.fusion import box_sum
+from repro.core.kernels.boxsum import box_sum_cumsum
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor, no_grad
 
@@ -62,7 +62,7 @@ class TestPoolingProperties:
         x = np.random.default_rng(seed).normal(size=(1, c, h, h))
         with no_grad():
             pooled = F.avg_pool2d(Tensor(x), p).data
-        strided_box = box_sum(x, p)[:, :, ::p, ::p]
+        strided_box = box_sum_cumsum(x, p)[:, :, ::p, ::p]
         ho = (h - p) // p + 1
         np.testing.assert_allclose(pooled, strided_box[:, :, :ho, :ho] / (p * p), atol=1e-12)
 

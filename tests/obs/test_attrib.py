@@ -242,7 +242,7 @@ class TestInstrumentedModelJoin:
 
     def test_counters_instrumentation_free_when_disabled(self):
         """counters=True must stay near-zero overhead with tracing off."""
-        from tests.obs.test_overhead import min_wall, small_model
+        from tests.obs.test_overhead import min_walls, small_model
 
         x = Tensor(np.random.default_rng(1).normal(size=(4, 3, 32, 32)))
         plain = small_model()
@@ -261,8 +261,7 @@ class TestInstrumentedModelJoin:
 
         run_plain()
         run_instrumented()
-        base = min_wall(run_plain, repeats=7)
-        traced = min_wall(run_instrumented, repeats=7)
+        base, traced = min_walls(run_plain, run_instrumented, repeats=7)
         overhead = traced / base - 1.0
         assert overhead < 0.15, f"disabled counters overhead {overhead:.1%}"
         assert tracer.events == []

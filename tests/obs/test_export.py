@@ -19,9 +19,6 @@ def populated_tracer() -> Tracer:
         with t.span("compile.pass.fuse", category="compiler") as sp:
             sp.set(rewrites=4)
         t.event("sim.layer", category="accel", layer="conv1", cycles=123.0)
-    t.add("train.samples", 64)
-    t.observe("train.loss", 1.5)
-    t.observe("train.loss", 0.5)
     return t
 
 
@@ -72,10 +69,7 @@ class TestJsonl:
         lines = path.read_text().strip().split("\n")
         docs = [json.loads(line) for line in lines]
         types = [d["type"] for d in docs]
-        assert types.count("span") == 2
-        assert types.count("instant") == 1
-        assert types.count("counter") == 1
-        assert types.count("histogram") == 1
+        assert sorted(types) == ["instant", "span", "span"]
 
     def test_span_fields(self):
         docs = [json.loads(l) for l in to_jsonl(populated_tracer()).strip().split("\n")]
@@ -85,14 +79,6 @@ class TestJsonl:
         assert fuse["depth"] == 1
         assert fuse["dur_us"] >= 0
         assert fuse["attrs"]["rewrites"] == 4
-
-    def test_aggregate_lines(self):
-        docs = [json.loads(l) for l in to_jsonl(populated_tracer()).strip().split("\n")]
-        counter = next(d for d in docs if d["type"] == "counter")
-        assert counter == {"type": "counter", "name": "train.samples", "value": 64}
-        hist = next(d for d in docs if d["type"] == "histogram")
-        assert hist["name"] == "train.loss"
-        assert hist["count"] == 2 and hist["mean"] == 1.0
 
     def test_empty_tracer_exports_empty(self):
         assert to_jsonl(Tracer(enabled=True)) == ""
@@ -104,8 +90,7 @@ class TestSummary:
         rendered = rep.render()
         assert "compile.pipeline" in rendered
         assert "compile.pass.fuse" in rendered
-        assert "counter train.samples = 64" in rendered
-        assert "histogram train.loss" in rendered
+        assert "3 events (1 instant), 2 distinct spans" in rendered
 
     def test_top_limit_respected(self):
         t = Tracer(enabled=True)

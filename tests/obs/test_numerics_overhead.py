@@ -16,7 +16,7 @@ from repro.obs.instrument import instrument_model
 from repro.obs.numerics import NumericsCollector, record_quant_event
 from repro.obs.tracer import Tracer
 
-from tests.obs.test_overhead import min_wall, small_model
+from tests.obs.test_overhead import min_walls, small_model
 
 
 class TestDisabledNumericsOverhead:
@@ -59,8 +59,7 @@ class TestDisabledNumericsOverhead:
 
         run_plain()  # warm up caches/allocations
         run_instrumented()
-        base = min_wall(run_plain, repeats=7)
-        watched = min_wall(run_instrumented, repeats=7)
+        base, watched = min_walls(run_plain, run_instrumented, repeats=7)
         overhead = watched / base - 1.0
         # same bar as the disabled tracer: a few percent, with CI headroom
         assert overhead < 0.15, f"disabled-numerics overhead {overhead:.1%}"

@@ -31,14 +31,19 @@ def small_model(rng=None):
     )
 
 
-def min_wall(fn, repeats: int) -> float:
-    """Best-of-N wall time — robust against scheduler noise."""
-    best = float("inf")
+def min_walls(*fns, repeats: int) -> tuple:
+    """Best-of-N wall time of each function, robust against scheduler noise.
+
+    The functions run in turn inside one loop, so a change in host speed
+    during the measurement hits every side alike.
+    """
+    best = [float("inf")] * len(fns)
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+        for i, fn in enumerate(fns):
+            t0 = time.perf_counter()
+            fn()
+            best[i] = min(best[i], time.perf_counter() - t0)
+    return tuple(best)
 
 
 class TestDisabledOverhead:
@@ -73,8 +78,7 @@ class TestDisabledOverhead:
 
         run_plain()  # warm up caches/allocations
         run_instrumented()
-        base = min_wall(run_plain, repeats=7)
-        traced = min_wall(run_instrumented, repeats=7)
+        base, traced = min_walls(run_plain, run_instrumented, repeats=7)
         overhead = traced / base - 1.0
         # target is "a few percent"; the bound leaves headroom for CI noise
         assert overhead < 0.15, f"disabled-tracer overhead {overhead:.1%}"

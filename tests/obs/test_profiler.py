@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.obs.telemetry.profiler import SamplingProfiler
+from repro.obs.telemetry.registry import TelemetryExporter, TelemetryRegistry
 
 
 def _spin_numpy(seconds: float) -> None:
@@ -77,6 +78,21 @@ def test_profiler_skips_its_own_thread():
         assert not any(
             f.startswith("repro.obs.telemetry.profiler:_") for f in stack
         ), stack
+
+
+def test_profiler_skips_a_running_telemetry_exporter():
+    """The exporter thread idles in ``Event.wait`` between scrapes; its
+    samples (stacks of nothing but ``threading.py`` frames, its
+    ``_loop`` frame being dropped) would crowd the program's frames."""
+    exporter = TelemetryExporter(TelemetryRegistry(enabled=True), period_s=0.05).start()
+    try:
+        with SamplingProfiler(interval_s=0.002) as prof:
+            _spin_numpy(0.2)
+    finally:
+        exporter.stop()
+    assert prof.sample_count > 0
+    for stack in prof.stacks:
+        assert not all(f.startswith("threading.py:") for f in stack), stack
 
 
 def test_compiled_lenet5_forward_top_frame_is_a_kernel():

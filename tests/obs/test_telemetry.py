@@ -179,12 +179,6 @@ def test_histogram_cumulative_le_semantics(reg):
     assert cum == [(1.0, 2), (2.0, 3), (4.0, 4), (math.inf, 5)]
 
 
-def test_histogram_p2_crosscheck_disabled_by_default(reg):
-    h = reg.histogram("lat")
-    h.observe(1.0)
-    assert math.isnan(h.labels().p2_quantile(0.5))
-
-
 # ---------------------------------------------------------------------------
 # snapshot + prometheus export
 # ---------------------------------------------------------------------------

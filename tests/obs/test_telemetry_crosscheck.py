@@ -1,10 +1,9 @@
 """Histogram-derived quantiles vs the independent P² estimators.
 
-Satellite guard for the telemetry tentpole: the bucket-interpolation
-quantiles (:meth:`_HistogramChild.quantile`) and the
-:class:`repro.obs.numerics.P2Quantile` streams see the same
-observations through two unrelated algorithms — fixed exponential
-buckets vs five adaptive markers.  On adversarial latency shapes
+The bucket-interpolation quantiles (:meth:`_HistogramChild.quantile`)
+and :class:`repro.obs.numerics.P2Quantile` estimators fed the same
+sample stream see it through two unrelated algorithms — fixed
+exponential buckets vs five adaptive markers.  On adversarial latency shapes
 (bimodal mixtures, heavy tails) they must agree to within the
 histogram's bucket resolution at that point (plus the documented P²
 CDF tolerance), or one of the estimators is lying.
@@ -17,6 +16,7 @@ five-marker summary is legitimately ambiguous.
 import numpy as np
 import pytest
 
+from repro.obs.numerics import P2Quantile
 from repro.obs.telemetry.registry import TelemetryRegistry, exponential_buckets
 
 QUANTILES = (0.5, 0.95, 0.99)
@@ -29,13 +29,16 @@ P2_SLACK = 2.0
 
 def _check_agreement(samples: np.ndarray, buckets) -> None:
     reg = TelemetryRegistry(enabled=True)
-    h = reg.histogram("lat", buckets=buckets, crosscheck=QUANTILES)
+    h = reg.histogram("lat", buckets=buckets)
+    p2 = {q: P2Quantile(q) for q in QUANTILES}
     for v in samples:
         h.observe(float(v))
+        for est in p2.values():
+            est.add(float(v))
     child = h.labels()
     for q in QUANTILES:
         bucket_q = child.quantile(q)
-        p2_q = child.p2_quantile(q)
+        p2_q = p2[q].value
         exact_q = float(np.quantile(samples, q))
         tol = P2_SLACK * max(
             child.bucket_resolution(exact_q), 0.02 * abs(exact_q)

@@ -18,7 +18,7 @@ from repro.models import build_model
 from repro.obs.telemetry.registry import TelemetryRegistry, get_telemetry
 from repro.train import TrainConfig, Trainer
 
-from tests.obs.test_overhead import min_wall
+from tests.obs.test_overhead import min_walls
 
 
 class TestDisabledInstrumentCost:
@@ -68,10 +68,9 @@ class TestTrainerDisabledOverhead:
         reg = get_telemetry()
         assert not reg.enabled  # the suite never leaves it on
         _fit_once()  # warm numpy/BLAS caches
-        base = min_wall(_fit_once, repeats=3)
-        # the instrumented path IS the only path; re-measure to bound
-        # run-to-run noise, then assert a fit stays within that band
-        again = min_wall(_fit_once, repeats=3)
+        # the instrumented path IS the only path; measure it twice to
+        # bound run-to-run noise, then assert a fit stays within that band
+        base, again = min_walls(_fit_once, _fit_once, repeats=3)
         drift = abs(again - base) / base
         assert drift < 0.25, f"timing noise {drift:.1%} — host too unstable"
         snap = reg.snapshot()
@@ -83,12 +82,18 @@ class TestTrainerDisabledOverhead:
         """Even fully ON, per-batch telemetry (one histogram observe +
         two counter incs, ~us) must vanish inside a ~ms batch."""
         reg = get_telemetry()
+
+        def fit_watched():
+            reg.enable()
+            try:
+                _fit_once()
+            finally:
+                reg.disable()
+
         _fit_once()
-        base = min_wall(_fit_once, repeats=3)
         reg.clear()
-        reg.enable()
         try:
-            watched = min_wall(_fit_once, repeats=3)
+            base, watched = min_walls(_fit_once, fit_watched, repeats=3)
         finally:
             reg.disable()
             reg.clear()
@@ -108,11 +113,17 @@ class TestKernelDisabledOverhead:
             fused_conv_pool(x, w, pool=2)
 
         reg = get_telemetry()
+
+        def run_enabled():
+            reg.enable()
+            try:
+                run()
+            finally:
+                reg.disable()
+
         run()
-        base = min_wall(run, repeats=7)
-        reg.enable()
         try:
-            enabled = min_wall(run, repeats=7)
+            base, enabled = min_walls(run, run_enabled, repeats=7)
         finally:
             reg.disable()
             reg.clear()

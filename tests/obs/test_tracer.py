@@ -1,4 +1,4 @@
-"""Tracer core: nesting, exception safety, thread safety, metrics."""
+"""Tracer core: nesting, exception safety, thread safety."""
 
 import threading
 
@@ -100,12 +100,11 @@ class TestDisabled:
             sp.set(anything=1)
         assert t.events == []
 
-    def test_disabled_event_counter_histogram_noop(self):
+    def test_disabled_event_noop(self):
         t = Tracer(enabled=False)
         t.event("e")
-        t.add("c", 5)
-        t.observe("h", 1.0)
-        assert t.events == [] and t.counters == {} and t.histograms == {}
+        t.record_span("r", dur_us=5.0)
+        assert t.events == []
 
     def test_enable_disable_roundtrip(self):
         t = Tracer(enabled=False)
@@ -120,33 +119,9 @@ class TestDisabled:
     def test_clear_resets_everything(self):
         t = Tracer(enabled=True)
         with t.span("s"):
-            t.add("c")
-            t.observe("h", 2.0)
+            t.event("e")
         t.clear()
-        assert t.events == [] and t.counters == {} and t.histograms == {}
-
-
-class TestMetrics:
-    def test_counters_accumulate(self):
-        t = Tracer(enabled=True)
-        t.add("samples", 32)
-        t.add("samples", 16)
-        t.add("steps")
-        assert t.counters == {"samples": 48.0, "steps": 1.0}
-
-    def test_histogram_stats(self):
-        t = Tracer(enabled=True)
-        for v in (1.0, 2.0, 3.0):
-            t.observe("loss", v)
-        s = t.histogram_stats("loss")
-        assert s["count"] == 3
-        assert s["total"] == 6.0
-        assert s["mean"] == 2.0
-        assert s["min"] == 1.0 and s["max"] == 3.0
-
-    def test_missing_histogram_stats_are_zero(self):
-        t = Tracer(enabled=True)
-        assert t.histogram_stats("nope")["count"] == 0
+        assert t.events == []
 
 
 class TestThreadSafety:
@@ -159,9 +134,8 @@ class TestThreadSafety:
             try:
                 for i in range(n_iters):
                     with t.span(f"outer-{tid}"):
-                        with t.span(f"inner-{tid}"):
-                            t.add("iterations")
-                            t.observe("value", float(i))
+                        with t.span(f"inner-{tid}", i=i):
+                            pass
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 
@@ -174,8 +148,6 @@ class TestThreadSafety:
         assert not errors
         events = t.events
         assert len(events) == n_threads * n_iters * 2
-        assert t.counters["iterations"] == n_threads * n_iters
-        assert len(t.histograms["value"]) == n_threads * n_iters
         # nesting is tracked per thread: every inner span has depth 1
         # and its own thread's outer as parent
         for ev in events:
